@@ -298,6 +298,20 @@ fn connect_with_retry(addr: &str, budget: Duration) -> Result<TcpStream, String>
     }
 }
 
+/// Counter for unique scratch stores within one process.
+static SCRATCH: AtomicU64 = AtomicU64::new(0);
+
+/// A private scratch store directory. Unique per call, not just per
+/// process: in-process workers that share a label must not share a
+/// journal (and its writer lock).
+fn scratch_store_dir(label: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "cochar-worker-{label}-{}-{}",
+        std::process::id(),
+        SCRATCH.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 /// Connects to a coordinator and works until dismissed, reconnecting
 /// through connection loss (see the module docs).
 pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
@@ -311,11 +325,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
     // simulates a denominator. Opened once; sessions share it.
     let (store_dir, scratch) = match &cfg.store_dir {
         Some(dir) => (dir.clone(), false),
-        None => (
-            std::env::temp_dir()
-                .join(format!("cochar-worker-{}-{}", cfg.label, std::process::id())),
-            true,
-        ),
+        None => (scratch_store_dir(&cfg.label), true),
     };
     let store = RunStore::open(&store_dir).map_err(|e| e.to_string())?;
     // One chaos state for the whole process: frame indices keep counting
@@ -684,6 +694,12 @@ mod tests {
         assert!(WorkerChaos::parse("explode@a/b").is_err());
         assert!(WorkerChaos::parse("die@ab").is_err());
         assert!(WorkerChaos::parse("die").is_err());
+    }
+
+    #[test]
+    fn default_label_workers_get_distinct_scratch_stores() {
+        let cfg = WorkerConfig::new("127.0.0.1:1");
+        assert_ne!(scratch_store_dir(&cfg.label), scratch_store_dir(&cfg.label));
     }
 
     #[test]

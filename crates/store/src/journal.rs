@@ -7,10 +7,15 @@
 //! ```
 //!
 //! The checksum is FNV-1a/SplitMix64 (the same [`StableHasher`] used for
-//! run keys) over the canonical rendering of the `"o"` value. Because the
-//! codec is canonical — rendering a parsed record reproduces the original
-//! bytes — the checksum can be re-verified on replay without storing the
-//! raw payload twice.
+//! run keys) over the canonical rendering of the `"o"` value, and replay
+//! re-verifies it over the raw payload bytes of the line as they are. The
+//! payload is then decoded in one pass straight from those bytes.
+//!
+//! Replay accepts only canonical lines: exactly the frame above, keys and
+//! checksums as 16 lower-case hex digits, and a payload that re-encodes to
+//! itself byte for byte. Anything else — whitespace, reordered fields, a
+//! leading zero, a `pc` wider than `u32` — is corrupt, so the run it
+//! would have answered is simply simulated again.
 //!
 //! Crash model: a record is only meaningful once its full line (including
 //! the trailing `\n`) hits the file. A process killed mid-append leaves a
@@ -30,9 +35,8 @@ use std::path::{Path, PathBuf};
 
 use cochar_machine::{RunOutcome, StableHasher};
 
-use crate::codec::{decode_outcome, encode_outcome};
-use crate::json::Json;
-use crate::store::RunKey;
+use crate::codec::{decode_payload, encode_outcome};
+use crate::store::{parse_hex16, RunKey};
 use crate::StoreError;
 
 /// Journal file name inside a store directory.
@@ -82,19 +86,19 @@ impl AppendSink for FileSink {
     }
 }
 
+/// The fixed text around a record's key, checksum and payload.
+const KEY_OPEN: &str = "{\"k\":\"";
+const SUM_OPEN: &str = "\",\"c\":\"";
+const PAYLOAD_OPEN: &str = "\",\"o\":";
+
 /// Renders one journal line (without the trailing newline).
 pub fn render_record(key: RunKey, outcome: &RunOutcome) -> String {
-    let payload = encode_outcome(outcome).render();
-    let sum = checksum(&payload);
-    let mut line = String::with_capacity(payload.len() + 48);
-    line.push_str("{\"k\":\"");
-    line.push_str(&key.to_hex());
-    line.push_str("\",\"c\":\"");
-    line.push_str(&format!("{sum:016x}"));
-    line.push_str("\",\"o\":");
-    line.push_str(&payload);
-    line.push('}');
-    line
+    frame(key, &encode_outcome(outcome).render())
+}
+
+/// Wraps a rendered payload in the record frame with its checksum.
+fn frame(key: RunKey, payload: &str) -> String {
+    format!("{KEY_OPEN}{key}{SUM_OPEN}{:016x}{PAYLOAD_OPEN}{payload}}}", checksum(payload))
 }
 
 /// Checksum over a canonical payload string.
@@ -106,32 +110,30 @@ fn checksum(payload: &str) -> u64 {
 
 /// Parses and verifies one journal line.
 ///
-/// Returns `Err` for anything that should not be trusted: syntactic
-/// failure, missing fields, checksum mismatch, or an outcome that fails to
-/// decode.
+/// Returns `Err` for anything that should not be trusted: a line that is
+/// not exactly the canonical frame, a checksum mismatch over the payload
+/// bytes, or a payload that is not the canonical encoding of an outcome.
 pub fn parse_record(line: &str) -> Result<(RunKey, RunOutcome), StoreError> {
-    let v = Json::parse(line).map_err(|e| StoreError::Corrupt(e.to_string()))?;
-    let key = v
-        .field("k")
-        .and_then(|k| k.as_str().map(str::to_string))
-        .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-    let key = RunKey::from_hex(&key)
-        .ok_or_else(|| StoreError::Corrupt(format!("bad key {key:?}")))?;
-    let sum = v
-        .field("c")
-        .and_then(|c| c.as_str().map(str::to_string))
-        .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-    let sum = u64::from_str_radix(&sum, 16)
-        .map_err(|_| StoreError::Corrupt(format!("bad checksum {sum:?}")))?;
-    let payload = v.field("o").map_err(|e| StoreError::Corrupt(e.to_string()))?;
-    // The codec is canonical, so re-rendering the parsed payload
-    // reconstructs the exact bytes the checksum was computed over; any
-    // flipped value re-renders differently and the sums diverge.
-    if checksum(&payload.render()) != sum {
-        return Err(StoreError::Corrupt("checksum mismatch".into()));
+    let corrupt = StoreError::Corrupt;
+    let (key, sum, payload) =
+        split_frame(line).ok_or_else(|| corrupt("not a canonical record frame".into()))?;
+    let key = RunKey::from_hex(key).ok_or_else(|| corrupt(format!("bad key {key:?}")))?;
+    let sum = parse_hex16(sum).ok_or_else(|| corrupt(format!("bad checksum {sum:?}")))?;
+    if checksum(payload) != sum {
+        return Err(corrupt("checksum mismatch".into()));
     }
-    let outcome = decode_outcome(payload).map_err(|e| StoreError::Corrupt(e.to_string()))?;
+    let outcome = decode_payload(payload).map_err(|e| corrupt(e.to_string()))?;
     Ok((key, outcome))
+}
+
+/// Splits a line into its key, checksum and payload text.
+fn split_frame(line: &str) -> Option<(&str, &str, &str)> {
+    let rest = line.strip_prefix(KEY_OPEN)?;
+    let (key, rest) = rest.split_at_checked(16)?;
+    let rest = rest.strip_prefix(SUM_OPEN)?;
+    let (sum, rest) = rest.split_at_checked(16)?;
+    let payload = rest.strip_prefix(PAYLOAD_OPEN)?.strip_suffix('}')?;
+    Some((key, sum, payload))
 }
 
 /// Classifies every line of raw journal bytes under the crash model:
@@ -343,6 +345,86 @@ mod tests {
         let (key, back) = parse_record(&line).unwrap();
         assert_eq!(key, RunKey(0xdead_beef_0123_4567));
         assert_eq!(back, o);
+    }
+
+    #[test]
+    fn textual_round_trip_is_canonical() {
+        // A parsed record re-renders to the very line it was read from.
+        let line = render_record(RunKey(9), &sample_outcome());
+        let (key, o) = parse_record(&line).unwrap();
+        assert_eq!(render_record(key, &o), line);
+    }
+
+    /// Parses `payload` framed with a valid checksum, so only the decoder
+    /// can object.
+    fn decode_framed(payload: &str) -> Result<RunOutcome, String> {
+        match parse_record(&frame(RunKey(1), payload)) {
+            Ok((_, o)) => Ok(o),
+            Err(StoreError::Corrupt(msg)) => Err(msg),
+            Err(other) => panic!("expected a corrupt record, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn missing_field_is_corrupt() {
+        let payload = encode_outcome(&sample_outcome()).render();
+        let cut = payload.replace(",\"horizon\":123456789012", "");
+        assert_ne!(cut, payload, "replacement must hit");
+        let msg = decode_framed(&cut).unwrap_err();
+        assert!(msg.contains("horizon"), "{msg}");
+    }
+
+    #[test]
+    fn bad_role_is_corrupt() {
+        let payload = encode_outcome(&sample_outcome()).render();
+        let msg = decode_framed(&payload.replace("\"fg\"", "\"xx\"")).unwrap_err();
+        assert!(msg.contains("role"), "{msg}");
+    }
+
+    #[test]
+    fn non_canonical_payloads_are_corrupt() {
+        let payload = encode_outcome(&sample_outcome()).render();
+        assert_eq!(decode_framed(&payload), Ok(sample_outcome()));
+        for (from, to) in [
+            ("\"horizon\":123456789012", "\"horizon\": 123456789012"),
+            ("\"horizon\":123456789012", "\"horizon\":0123456789012"),
+            ("\"horizon\":123456789012", "\"horizon\":123456789012.0"),
+            ("\"horizon\":123456789012", "\"horizon\":-123456789012"),
+            ("\"trunc\":true,\"stall\":true", "\"stall\":true,\"trunc\":true"),
+            ("\"freq_ghz\":2.7", "\"freq_ghz\":2.70"),
+            ("\"freq_ghz\":2.7", "\"freq_ghz\":27e-1"),
+            ("\"name\":\"pr.graph\"", "\"name\":\"pr\\u002egraph\""),
+            ("\"r\":[64,0]", "\"r\":[64,0,]"),
+            ("[3,17,5,999]", "[3,17,5,999,1]"),
+            ("[3,17,5,999]", "[4294967296,17,5,999]"),
+            ("\"rd\":123456789", "\"rd\":18446744073709551616"),
+        ] {
+            let bad = payload.replacen(from, to, 1);
+            assert_ne!(bad, payload, "replacement {from:?} must hit");
+            assert!(decode_framed(&bad).is_err(), "{to:?} was accepted");
+        }
+        assert!(decode_framed(&format!("{payload} ")).is_err());
+        assert!(decode_framed("").is_err());
+    }
+
+    #[test]
+    fn frame_must_be_exact() {
+        let line = render_record(RunKey(0xab), &sample_outcome());
+        assert!(parse_record(&line).is_ok());
+        let upper = line.replacen("00000000000000ab", "00000000000000AB", 1);
+        let plus = line.replacen("00000000000000ab", "+0000000000000ab", 1);
+        for bad in [
+            format!(" {line}"),
+            format!("{line} "),
+            format!("{line}\r"),
+            line.replacen("{\"k\":", "{ \"k\":", 1),
+            line.replacen("\"k\"", "\"key\"", 1),
+            upper,
+            plus,
+            line[..line.len() - 1].to_string(),
+        ] {
+            assert!(matches!(parse_record(&bad), Err(StoreError::Corrupt(_))), "{bad:.40}");
+        }
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl Json {
 
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+        let mut p = Parser { src: s, bytes: s.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -187,7 +187,25 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Reads the JSON string whose opening quote is at byte `pos` of `src`,
+/// returning it unescaped with the offset just past its closing quote.
+/// Only the spelling [`Json::render`] produces is accepted: a string that
+/// would re-render differently (`\/`, `\u0041`, a raw control byte) is
+/// an error, so a decoder that uses this reads canonical bytes only.
+pub(crate) fn canonical_string(src: &str, pos: usize) -> Result<(String, usize), JsonError> {
+    let mut p = Parser { src, bytes: src.as_bytes(), pos };
+    let s = p.string()?;
+    let raw = &src[pos..p.pos];
+    let mut again = String::with_capacity(raw.len());
+    render_string(&s, &mut again);
+    if again != raw {
+        return err(format!("non-canonical string at byte {pos}"));
+    }
+    Ok((s, p.pos))
+}
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -317,12 +335,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError("non-utf8 string".into()))?;
-                    let c = rest.chars().next().ok_or_else(|| JsonError("empty".into()))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the cut lands on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.src[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -425,6 +445,35 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn long_string_with_every_escape_round_trips() {
+        // Multi-byte text of every width plus every character the
+        // renderer escapes, repeated past 64 KB.
+        let mut unit: String = (0u32..0x20).filter_map(char::from_u32).collect();
+        unit.push_str("\"\\/ plain é € 𝄞 \u{7f}\u{2028}");
+        let mut long = String::new();
+        while long.len() < 64 * 1024 {
+            long.push_str(&unit);
+        }
+        let v = Json::Str(long.clone());
+        let text = v.render();
+        assert_eq!(Json::parse(&text).unwrap(), v);
+        assert_eq!(canonical_string(&text, 0).unwrap(), (long, text.len()));
+
+        // Escapes the renderer never writes still parse.
+        let v = Json::parse(r#""\/\b\f\u00e9\u20ac""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "/\u{8}\u{c}é€");
+    }
+
+    #[test]
+    fn canonical_string_rejects_other_spellings() {
+        for text in [r#""\/""#, r#""\u0041""#, "\"a\u{1}b\"", r#""\u000A""#] {
+            assert!(canonical_string(text, 0).is_err(), "{text:?}");
+            assert!(Json::parse(text).is_ok(), "{text:?}");
+        }
+        assert_eq!(canonical_string(r#"x"a\nb"y"#, 1).unwrap(), ("a\nb".into(), 7));
     }
 
     #[test]

@@ -42,13 +42,29 @@ impl RunKey {
         format!("{:016x}", self.0)
     }
 
-    /// Parses the 16-digit hex form.
+    /// Parses the 16-digit hex form: exactly what [`RunKey::to_hex`]
+    /// writes, so every accepted spelling renders back to itself.
     pub fn from_hex(s: &str) -> Option<RunKey> {
-        if s.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(s, 16).ok().map(RunKey)
+        parse_hex16(s).map(RunKey)
     }
+}
+
+/// Parses exactly 16 lower-case hex digits — the journal's spelling of
+/// keys and checksums. `u64::from_str_radix` would also take a leading
+/// `+` and upper-case digits, which name the same value but not the same
+/// bytes.
+pub(crate) fn parse_hex16(s: &str) -> Option<u64> {
+    if s.len() != 16 {
+        return None;
+    }
+    s.bytes().try_fold(0u64, |acc, b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(digit))
+    })
 }
 
 impl fmt::Display for RunKey {
@@ -424,5 +440,11 @@ mod tests {
         assert_eq!(RunKey::from_hex(&k.to_hex()), Some(k));
         assert_eq!(RunKey::from_hex("xyz"), None);
         assert_eq!(RunKey::from_hex("0123"), None);
+        assert_eq!(RunKey::from_hex("ffffffffffffffff"), Some(RunKey(u64::MAX)));
+        // Same value, other bytes: a leading `+` or upper-case digits.
+        assert_eq!(RunKey::from_hex("+00000000000000f"), None);
+        assert_eq!(RunKey::from_hex("0123456789ABCDEF"), None);
+        assert_eq!(RunKey::from_hex("0123456789abcdeF"), None);
+        assert_eq!(RunKey::from_hex("-00000000000000f"), None);
     }
 }
