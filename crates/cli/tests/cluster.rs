@@ -113,6 +113,24 @@ fn compare_is_deterministic_and_interference_awareness_pays() {
     assert!(csv.starts_with("policy,knowledge,mean_stretch"));
 }
 
+/// Stable hash of the `TINY` compare JSON. The report is built from every
+/// `ClusterOutcome` float, so any drift in the engine's arithmetic moves it.
+const TINY_COMPARE_JSON_HASH: &str = "3d947e0ee9635993";
+
+#[test]
+fn compare_json_is_pinned() {
+    let dir = std::env::temp_dir().join("cochar-cluster-e2e-pinned");
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("report.json");
+    let args = tiny(&["cluster", "compare"], &["--json", json.to_str().unwrap()]);
+    let argrefs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
+    stdout(&argrefs);
+    let text = std::fs::read_to_string(&json).unwrap();
+    let mut h = cochar_machine::StableHasher::new();
+    h.write_str(&text);
+    assert_eq!(format!("{:016x}", h.finish()), TINY_COMPARE_JSON_HASH, "report:\n{text}");
+}
+
 #[test]
 fn run_reports_one_policy_and_traces_round_trip() {
     let dir = std::env::temp_dir().join("cochar-cluster-e2e-run");

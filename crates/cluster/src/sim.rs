@@ -9,6 +9,17 @@
 //! runs on the measured one is how predicted-placement regret is
 //! quantified.
 //!
+//! Per-event work is one pass over dense arrays: the running jobs'
+//! remaining work and cached rates, indexed by running slot, and three
+//! per-node ledger arrays (occupied slots, non-empty, QoS-violating).
+//! Rates and QoS flags are recomputed only for the nodes an event
+//! touched, when their completions are re-predicted. The ledger pass is
+//! branch-free: an idle node adds `dt * 0.0 = +0.0`, which leaves the
+//! non-negative sums unchanged, and a flagged node adds `dt * 1.0 = dt`,
+//! so every ledger sees exactly the additions, in exactly the order, of
+//! a loop that skipped idle nodes. Results are bit-identical to it
+//! (`tests/golden.rs`).
+//!
 //! At two slots per node this engine reproduces
 //! `cochar_sched::online::simulate` to within floating-point noise
 //! (pinned at 1e-9 by `tests/crosscheck.rs`), which is what licenses
@@ -186,11 +197,17 @@ pub fn simulate(
         cfg: *cfg,
         node_members: vec![Vec::new(); cfg.nodes],
         node_apps: vec![Vec::new(); cfg.nodes],
-        remaining: jobs.iter().map(|j| j.work).collect(),
+        occupancy: vec![0.0; cfg.nodes],
+        active: vec![0.0; cfg.nodes],
+        violating: vec![0.0; cfg.nodes],
+        active_nodes: 0,
+        run_job: Vec::new(),
+        run_rem: Vec::new(),
+        run_rate: Vec::new(),
+        slot_of: vec![usize::MAX; jobs.len()],
         node_of: vec![usize::MAX; jobs.len()],
         epoch: vec![0; jobs.len()],
         finish: vec![f64::NAN; jobs.len()],
-        running: Vec::new(),
         queue: VecDeque::new(),
         events: EventQueue::new(),
         pending_arrivals: jobs.len(),
@@ -232,11 +249,24 @@ struct Engine<'a> {
     node_members: Vec<Vec<usize>>,
     /// Apps on each node (parallel to `node_members`; what policies see).
     node_apps: Vec<Vec<usize>>,
-    remaining: Vec<f64>,
+    /// Occupied slots of each node, as a float for the ledger pass.
+    occupancy: Vec<f64>,
+    /// 1.0 for a non-empty node, else 0.0.
+    active: Vec<f64>,
+    /// 1.0 for a node whose bundle breaches the QoS cap, else 0.0.
+    violating: Vec<f64>,
+    /// Number of non-empty nodes.
+    active_nodes: usize,
+    /// Running jobs by running slot: the job, its remaining work, and its
+    /// progress rate as of the last time its node was touched.
+    run_job: Vec<usize>,
+    run_rem: Vec<f64>,
+    run_rate: Vec<f64>,
+    /// Running slot of each job (`usize::MAX` unless running).
+    slot_of: Vec<usize>,
     node_of: Vec<usize>,
     epoch: Vec<u64>,
     finish: Vec<f64>,
-    running: Vec<usize>,
     queue: VecDeque<usize>,
     events: EventQueue,
     pending_arrivals: usize,
@@ -270,38 +300,41 @@ impl Engine<'_> {
         apps.len() >= 2 && self.cfg.compose.bundle_cost(self.truth, apps) >= self.cfg.qos_cap
     }
 
-    /// Advances every running job by `dt` and accrues the time-integrated
-    /// ledgers, mirroring sched::online's accounting loop shape.
+    /// Advances every running job by `dt` (`dt > 0`) and accrues the
+    /// time-integrated ledgers, node by node in index order.
     fn advance(&mut self, dt: f64) {
-        for i in 0..self.running.len() {
-            let j = self.running[i];
-            self.remaining[j] -= dt * self.rate(j);
+        for (rem, &rate) in self.run_rem.iter_mut().zip(&self.run_rate) {
+            *rem -= dt * rate;
         }
-        let mut active = 0usize;
-        for node in 0..self.cfg.nodes {
-            let occ = self.node_members[node].len();
-            if occ == 0 {
-                continue;
-            }
-            active += 1;
-            self.node_seconds += dt;
-            self.slot_seconds += dt * occ as f64;
-            if self.node_in_violation(node) {
-                self.qos_violation_time += dt;
-            }
+        let (mut node_s, mut slot_s, mut qos_s) =
+            (self.node_seconds, self.slot_seconds, self.qos_violation_time);
+        let flags = self.active.iter().zip(&self.occupancy).zip(&self.violating);
+        for ((&active, &occupancy), &violating) in flags {
+            node_s += dt * active;
+            slot_s += dt * occupancy;
+            qos_s += dt * violating;
         }
+        (self.node_seconds, self.slot_seconds, self.qos_violation_time) = (node_s, slot_s, qos_s);
+        let active = self.active_nodes;
         self.energy +=
             dt * (active as f64 + self.cfg.idle_power * (self.cfg.nodes - active) as f64);
         self.peak_active = self.peak_active.max(active);
     }
 
-    /// Completes every running job whose work is exhausted.
+    /// Completes every running job whose work is exhausted. Runs on every
+    /// event, zero-length steps included: a sliver of work whose predicted
+    /// completion rounds to the current instant is caught here.
     fn complete_due(&mut self, dirty: &mut Vec<usize>) {
         let mut i = 0;
-        while i < self.running.len() {
-            let j = self.running[i];
-            if self.remaining[j] <= DONE {
-                self.running.swap_remove(i);
+        while i < self.run_rem.len() {
+            if self.run_rem[i] <= DONE {
+                let j = self.run_job.swap_remove(i);
+                self.run_rem.swap_remove(i);
+                self.run_rate.swap_remove(i);
+                if let Some(&moved) = self.run_job.get(i) {
+                    self.slot_of[moved] = i;
+                }
+                self.slot_of[j] = usize::MAX;
                 self.finish[j] = self.now;
                 self.makespan = self.makespan.max(self.now);
                 let node = self.node_of[j];
@@ -358,7 +391,11 @@ impl Engine<'_> {
         self.node_members[node].push(job);
         self.node_apps[node].push(self.jobs[job].app);
         self.node_of[job] = node;
-        self.running.push(job);
+        self.slot_of[job] = self.run_job.len();
+        self.run_job.push(job);
+        self.run_rem.push(self.jobs[job].work);
+        // `reschedule` sets the rate: `node` is dirty.
+        self.run_rate.push(f64::NAN);
         dirty.push(node);
         Ok(())
     }
@@ -399,16 +436,25 @@ impl Engine<'_> {
         Ok(())
     }
 
-    /// Re-predicts completion times for every still-running member of the
-    /// touched nodes (their rates may have changed).
+    /// Refreshes the touched nodes' ledger flags and their members' rates,
+    /// and re-predicts those members' completion times.
     fn reschedule(&mut self, dirty: &mut Vec<usize>) {
         dirty.sort_unstable();
         dirty.dedup();
         for &node in dirty.iter() {
-            for i in 0..self.node_members[node].len() {
+            let occupied = self.node_members[node].len();
+            let active = usize::from(occupied > 0);
+            self.active_nodes = self.active_nodes + active - self.active[node] as usize;
+            self.active[node] = active as f64;
+            self.occupancy[node] = occupied as f64;
+            self.violating[node] = if self.node_in_violation(node) { 1.0 } else { 0.0 };
+            for i in 0..occupied {
                 let j = self.node_members[node][i];
+                let slot = self.slot_of[j];
+                let rate = self.rate(j);
+                self.run_rate[slot] = rate;
                 self.epoch[j] += 1;
-                let eta = self.now + self.remaining[j].max(0.0) / self.rate(j);
+                let eta = self.now + self.run_rem[slot].max(0.0) / rate;
                 self.events.push(eta, Event::JobEnd { job: j, epoch: self.epoch[j] });
             }
         }
@@ -506,14 +552,15 @@ impl Engine<'_> {
                     if self.finish[job].is_nan() {
                         // Prediction drift left a sliver of work: re-aim.
                         self.epoch[job] += 1;
-                        let eta = self.now + self.remaining[job].max(0.0) / self.rate(job);
+                        let rem = self.run_rem[self.slot_of[job]];
+                        let eta = self.now + rem.max(0.0) / self.rate(job);
                         self.events.push(eta, Event::JobEnd { job, epoch: self.epoch[job] });
                     }
                 }
                 Event::Defragmentation => {
                     self.defragment(&mut dirty);
                     if self.pending_arrivals > 0
-                        || !self.running.is_empty()
+                        || !self.run_job.is_empty()
                         || !self.queue.is_empty()
                     {
                         let period = self.cfg.defrag_period.expect("defrag event without period");
@@ -799,6 +846,40 @@ mod tests {
             sp.node_seconds
         );
         assert!(bf.energy < sp.energy);
+    }
+
+    #[test]
+    fn slivers_whose_eta_rounds_to_now_still_complete() {
+        // Both slivers start under the completion epsilon. The second is
+        // below half an ulp of the clock at t = 2e4, so its predicted
+        // completion is the very instant it started, and only a
+        // completion scan on that zero-length step can finish it. An
+        // engine that completed jobs only while advancing time would
+        // re-aim it forever, so the run is bounded by a timeout and a
+        // hang fails the test.
+        let jobs = vec![
+            Job { app: 0, arrival: 1e4, work: 1e-12 },
+            Job { app: 1, arrival: 2e4, work: 5e-13 },
+        ];
+        for kind in crate::policy::PolicyKind::all() {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let list = jobs.clone();
+            std::thread::spawn(move || {
+                let m = matrix();
+                let c = SimConfig {
+                    defrag_period: kind.wants_defrag().then_some(5e3),
+                    ..cfg(2, 2)
+                };
+                let mut policy = kind.build(3, c.qos_cap);
+                let _ = tx.send(simulate(&m, &m, policy.as_mut(), &list, &c));
+            });
+            let out = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{kind}: simulation did not terminate"))
+                .unwrap();
+            assert_eq!(out.makespan, 2e4, "{kind}");
+            assert_eq!(out.jobs, 2, "{kind}");
+        }
     }
 
     #[test]

@@ -1,0 +1,206 @@
+//! Golden bits: every `ClusterOutcome` float, compared by `to_bits()`,
+//! plus the integer ledgers, for a fixed set of seeded scenarios.
+//!
+//! The engine's results must not drift by a single ulp: the regret
+//! report and the CLI's JSON and CSV are built from these numbers, and
+//! any change to the event loop's floating-point work would move them.
+//! The scenarios cover:
+//!
+//! * all six policies × {max, product} × slots {1, 2, 4} × defrag on and
+//!   off, on a destructive 4-app matrix loaded so that queues form;
+//! * a 5-app matrix with sub-1.0 (constructive) entries;
+//! * the benchmark's shape: 1000 nodes × 2 slots, 5000 jobs, utilization
+//!   0.7, on a synthetic 6-app matrix, with truth as knowledge and with a
+//!   perturbed knowledge matrix.
+//!
+//! The fixture `golden_bits.txt` was captured from the engine as it was
+//! at commit 450d4d1, before the running-job state became dense, with
+//!
+//! ```text
+//! cargo test -p cochar-cluster --test golden -- --ignored regenerate_fixture
+//! ```
+//!
+//! Regenerate it only when an output change is intended, and say so.
+
+use cochar_cluster::{simulate, ClusterOutcome, Compose, Job, PolicyKind, SimConfig, Workload};
+use cochar_sched::CostMatrix;
+use cochar_trace::Lcg;
+
+const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_bits.txt");
+
+const HEADER: &str = "# scenario makespan mean_stretch min_stretch p50_stretch p95_stretch \
+p99_stretch max_stretch qos_violation_time node_seconds slot_seconds energy (f64 bits, hex) \
+jobs slo_violations peak_active_nodes peak_queue migrations";
+
+/// An `n`-app matrix with entries drawn from `[lo, hi)`.
+fn synthetic(n: usize, lo: f64, hi: f64, seed: u64) -> CostMatrix {
+    let mut rng = Lcg::new(seed);
+    CostMatrix {
+        names: (0..n).map(|i| format!("app{i}")).collect(),
+        slow: (0..n).map(|_| (0..n).map(|_| lo + (hi - lo) * rng.next_f64()).collect()).collect(),
+    }
+}
+
+/// `m` with every entry scaled by a factor in `[0.85, 1.15)`: a stand-in
+/// for a predicted matrix.
+fn perturbed(m: &CostMatrix, seed: u64) -> CostMatrix {
+    let mut rng = Lcg::new(seed);
+    CostMatrix {
+        names: m.names.clone(),
+        slow: m
+            .slow
+            .iter()
+            .map(|row| row.iter().map(|&s| s * (0.85 + 0.3 * rng.next_f64())).collect())
+            .collect(),
+    }
+}
+
+fn jobs(m: &CostMatrix, count: usize, util: f64, nodes: usize, slots: usize, seed: u64) -> Vec<Job> {
+    let mean_work = 8.0;
+    let arrival_rate = Workload::rate_for_utilization(util, nodes, slots, mean_work);
+    Workload { arrival_rate, mean_work, seed }.generate(count, m.len())
+}
+
+fn line(name: &str, o: &ClusterOutcome) -> String {
+    let floats = [
+        o.makespan,
+        o.mean_stretch,
+        o.min_stretch,
+        o.p50_stretch,
+        o.p95_stretch,
+        o.p99_stretch,
+        o.max_stretch,
+        o.qos_violation_time,
+        o.node_seconds,
+        o.slot_seconds,
+        o.energy,
+    ];
+    let mut s = name.to_string();
+    for f in floats {
+        s.push_str(&format!(" {:016x}", f.to_bits()));
+    }
+    for n in [o.jobs, o.slo_violations, o.peak_active_nodes, o.peak_queue, o.migrations] {
+        s.push_str(&format!(" {n}"));
+    }
+    s
+}
+
+fn run(
+    name: String,
+    truth: &CostMatrix,
+    knowledge: &CostMatrix,
+    kind: PolicyKind,
+    jobs: &[Job],
+    cfg: SimConfig,
+) -> String {
+    let mut policy = kind.build(7, cfg.qos_cap);
+    let out = simulate(truth, knowledge, policy.as_mut(), jobs, &cfg)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    line(&name, &out)
+}
+
+/// Every scenario's fixture line, in fixture order.
+fn lines() -> Vec<String> {
+    let mut out = Vec::new();
+    let compositions = [Compose::Max, Compose::Product];
+
+    let grid = synthetic(4, 1.0, 2.0, 11);
+    for slots in [1, 2, 4] {
+        let list = jobs(&grid, 300, 0.6, 12, slots, 21 + slots as u64);
+        for kind in PolicyKind::all() {
+            for compose in compositions {
+                for defrag in [false, true] {
+                    let name = format!(
+                        "grid/{kind}/{compose}/k{slots}/{}",
+                        if defrag { "defrag" } else { "plain" }
+                    );
+                    let cfg = SimConfig {
+                        nodes: 12,
+                        slots,
+                        compose,
+                        defrag_period: defrag.then_some(7.5),
+                        ..SimConfig::default()
+                    };
+                    out.push(run(name, &grid, &grid, kind, &list, cfg));
+                }
+            }
+        }
+    }
+
+    let constructive = synthetic(5, 0.7, 2.0, 31);
+    assert!(constructive.slow.iter().flatten().any(|&s| s < 1.0));
+    for slots in [2, 3] {
+        let list = jobs(&constructive, 250, 0.5, 10, slots, 41 + slots as u64);
+        for kind in PolicyKind::all() {
+            for compose in compositions {
+                for defrag in [false, true] {
+                    let name = format!(
+                        "constructive/{kind}/{compose}/k{slots}/{}",
+                        if defrag { "defrag" } else { "plain" }
+                    );
+                    let cfg = SimConfig {
+                        nodes: 10,
+                        slots,
+                        compose,
+                        defrag_period: defrag.then_some(5.0),
+                        ..SimConfig::default()
+                    };
+                    out.push(run(name, &constructive, &constructive, kind, &list, cfg));
+                }
+            }
+        }
+    }
+
+    let truth = synthetic(6, 1.0, 1.6, 51);
+    let predicted = perturbed(&truth, 52);
+    let list = jobs(&truth, 5000, 0.7, 1000, 2, 7);
+    for kind in PolicyKind::all() {
+        for (label, knowledge) in [("measured", &truth), ("predicted", &predicted)] {
+            let cfg = SimConfig {
+                nodes: 1000,
+                slots: 2,
+                qos_cap: 1.5,
+                slo_stretch: 2.0,
+                compose: Compose::Max,
+                defrag_period: kind.wants_defrag().then_some(25.0),
+                ..SimConfig::default()
+            };
+            out.push(run(format!("bench/{kind}/{label}"), &truth, knowledge, kind, &list, cfg));
+        }
+    }
+    out
+}
+
+#[test]
+fn outcomes_match_the_golden_bits() {
+    let fixture = std::fs::read_to_string(FIXTURE).expect("golden fixture is committed");
+    let expected: Vec<&str> = fixture.lines().filter(|l| !l.starts_with('#')).collect();
+    let actual = lines();
+    assert_eq!(actual.len(), expected.len(), "scenario count changed");
+    let drifted: Vec<String> = actual
+        .iter()
+        .zip(&expected)
+        .filter(|(a, e)| a.as_str() != **e)
+        .map(|(a, e)| format!("  want {e}\n  got  {a}"))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "{} of {} scenarios drifted from the golden bits:\n{}",
+        drifted.len(),
+        actual.len(),
+        drifted.join("\n")
+    );
+}
+
+/// Rewrites the fixture from the current engine (see the module doc).
+#[test]
+#[ignore]
+fn regenerate_fixture() {
+    let mut text = String::from(HEADER);
+    text.push('\n');
+    for l in lines() {
+        text.push_str(&l);
+        text.push('\n');
+    }
+    std::fs::write(FIXTURE, text).expect("write golden fixture");
+}

@@ -212,11 +212,26 @@ struct Coord {
     /// High-water mark of each worker's self-reported wire fault count
     /// (by label), so re-claims fold only the delta into the ledger.
     fault_reports: Mutex<HashMap<String, u64>>,
+    /// The last worker fault logged, named by the stall error.
+    last_fault: Mutex<Option<String>>,
 }
 
 impl Coord {
     fn lock(&self) -> std::sync::MutexGuard<'_, CoordState> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Logs a worker fault (wire fault, read error, worker death, or
+    /// dropped record) and remembers it as the latest one.
+    fn worker_fault(&self, fault: String) {
+        eprintln!("fabric: {fault}");
+        *self.last_fault.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(fault);
+    }
+
+    /// The latest worker fault, for the stall error.
+    fn describe_last_fault(&self) -> String {
+        let last = self.last_fault.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        last.clone().unwrap_or_else(|| "none seen".to_string())
     }
 
     fn cell_spec(&self, idx: usize) -> String {
@@ -312,7 +327,7 @@ impl Coord {
         for line in records {
             match parse_record(line) {
                 Ok((key, outcome)) => parsed.push((key, Arc::new(outcome))),
-                Err(e) => eprintln!("fabric: dropping unverifiable worker record: {e}"),
+                Err(e) => self.worker_fault(format!("dropping unverifiable worker record: {e}")),
             }
         }
         match self.store.merge_records(parsed) {
@@ -446,12 +461,12 @@ impl Coord {
                     // trusted any further. Drop it — the tail below
                     // requeues whatever it held, and the worker side
                     // reconnects on its own.
-                    eprintln!("fabric: dropping connection after wire fault: {e}");
+                    self.worker_fault(format!("dropping connection after wire fault: {e}"));
                     self.lock().ledger.wire_faults += 1;
                     break;
                 }
                 Err(WireError::Io(e)) => {
-                    eprintln!("fabric: connection read failed: {e}");
+                    self.worker_fault(format!("connection read failed: {e}"));
                     break;
                 }
             };
@@ -532,6 +547,10 @@ impl Coord {
         let lost: Vec<u64> =
             st.leases.iter().filter(|(_, l)| l.conn == conn).map(|(id, _)| *id).collect();
         if !lost.is_empty() && !st.done {
+            self.worker_fault(format!(
+                "worker on connection {conn} died holding {} lease(s)",
+                lost.len()
+            ));
             st.ledger.worker_deaths += 1;
             for id in lost {
                 if let Some(lease) = st.leases.remove(&id) {
@@ -743,6 +762,7 @@ pub fn run_campaign(
         next_conn: AtomicU64::new(1),
         merge_failed: Mutex::new(None),
         fault_reports: Mutex::new(HashMap::new()),
+        last_fault: Mutex::new(None),
     });
 
     let mut worker_dirs: Vec<PathBuf> = Vec::new();
@@ -885,8 +905,10 @@ fn serve(
                 st.done = true;
                 break Some(format!(
                     "fabric stalled: {unsettled} cell(s) unsettled and no worker \
-                     activity for {:?} (no workers connected, or all of them hung)",
-                    cfg.stall_timeout
+                     activity for {:?} (no workers connected, or all of them hung); \
+                     last worker error: {}",
+                    cfg.stall_timeout,
+                    coord.describe_last_fault()
                 ));
             }
             drop(

@@ -10,6 +10,7 @@ use std::time::Duration;
 use cochar_colocation::{Heatmap, SweepPolicy};
 use cochar_fabric::{
     run_campaign, run_worker, CampaignSpec, FabricConfig, WirePlan, WorkerChaos, WorkerConfig,
+    WorkerSummary,
 };
 
 const NAMES: [&str; 3] = ["blackscholes", "swaptions", "stream"];
@@ -26,8 +27,40 @@ fn tiny_spec() -> CampaignSpec {
     }
 }
 
+/// How an in-process worker ended, by label.
+type Report = (String, Result<WorkerSummary, String>);
+
+/// Runs `cfg` on a detached thread (a hang-chaos worker sleeps forever
+/// and must not block test exit). With `report`, the worker sends its
+/// result there when it returns.
+fn spawn_worker(cfg: WorkerConfig, report: Option<mpsc::Sender<Report>>) {
+    std::thread::spawn(move || {
+        let result = run_worker(&cfg);
+        if let Some(tx) = report {
+            // The receiver is gone only if the test already failed.
+            let _ = tx.send((cfg.label, result));
+        }
+    });
+}
+
+/// Waits for `n` worker reports and fails on any worker error. Called
+/// after the coordinator returns: a dismissed worker exits at once, one
+/// that finds the coordinator gone gives up reconnecting within its
+/// `connect_retry` budget.
+fn assert_workers_ok(reports: &mpsc::Receiver<Report>, n: usize) {
+    for _ in 0..n {
+        let (label, result) = reports
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a healthy worker returns after the campaign");
+        if let Err(e) = result {
+            panic!("worker {label} failed: {e}");
+        }
+    }
+}
+
 /// Runs `spec` through the fabric with `n` in-process workers, each
-/// configured by `mk_cfg(i, addr)`.
+/// configured by `mk_cfg(i, addr)`, and checks that every worker without
+/// hang chaos returned `Ok`.
 fn run_distributed(
     spec: &CampaignSpec,
     cfg: FabricConfig,
@@ -43,15 +76,19 @@ fn run_distributed(
         let addr = rx
             .recv_timeout(Duration::from_secs(30))
             .expect("coordinator publishes its address");
+        let (report, reports) = mpsc::channel();
+        let mut healthy = 0;
         for i in 0..n {
             let wcfg = mk_cfg(i, &addr);
-            // Detached on purpose: a hang-chaos worker sleeps forever and
-            // must not block test exit; healthy workers finish on `done`.
-            std::thread::spawn(move || {
-                let _ = run_worker(&wcfg);
-            });
+            let hangs = matches!(wcfg.chaos_worker, Some(WorkerChaos::Hang { .. }));
+            if !hangs {
+                healthy += 1;
+            }
+            spawn_worker(wcfg, (!hangs).then(|| report.clone()));
         }
-        coord.join().expect("coordinator thread").expect("campaign succeeds")
+        let outcome = coord.join().expect("coordinator thread").expect("campaign succeeds");
+        assert_workers_ok(&reports, healthy);
+        outcome
     })
 }
 
@@ -169,10 +206,11 @@ fn store_backed_campaign_is_cached_on_rerun() {
     let first = std::thread::scope(|scope| {
         let coord = scope.spawn(|| run_campaign(&study, &spec, &cfg, |_, _| {}));
         let addr = rx.recv_timeout(Duration::from_secs(30)).expect("bound");
-        std::thread::spawn(move || {
-            let _ = run_worker(&WorkerConfig::new(&addr));
-        });
-        coord.join().expect("join").expect("campaign succeeds")
+        let (report, reports) = mpsc::channel();
+        spawn_worker(WorkerConfig::new(&addr), Some(report));
+        let outcome = coord.join().expect("join").expect("campaign succeeds");
+        assert_workers_ok(&reports, 1);
+        outcome
     });
     assert!(first.failures.is_empty());
     assert!(first.ledger.records_merged > 0, "worker results land in the store");
@@ -302,12 +340,59 @@ fn mismatched_fingerprint_claim_is_dismissed() {
         assert!(matches!(reply, Msg::Done), "impostor got {reply:?}");
 
         // An honest worker then completes the campaign.
-        let waddr = addr.clone();
-        std::thread::spawn(move || {
-            let _ = run_worker(&WorkerConfig::new(&waddr));
-        });
-        coord.join().expect("join").expect("campaign succeeds")
+        let (report, reports) = mpsc::channel();
+        spawn_worker(WorkerConfig::new(&addr), Some(report));
+        let outcome = coord.join().expect("join").expect("campaign succeeds");
+        assert_workers_ok(&reports, 1);
+        outcome
     });
     assert!(outcome.failures.is_empty());
     assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec));
+}
+
+#[test]
+fn stall_error_names_the_last_worker_fault() {
+    use cochar_fabric::wire::{write_frame, Frame, FrameReader, Msg};
+
+    let spec = tiny_spec();
+    let (tx, rx) = mpsc::channel();
+    let cfg = FabricConfig {
+        on_bound: Some(tx),
+        stall_timeout: Duration::from_secs(2),
+        ..FabricConfig::default()
+    };
+    let study = spec.build_study(None).expect("spec builds");
+    let err = std::thread::scope(|scope| {
+        let coord = scope.spawn(|| run_campaign(&study, &spec, &cfg, |_, _| {}));
+        let addr = rx.recv_timeout(Duration::from_secs(30)).expect("bound");
+
+        // A worker that sends one corrupt frame, then goes quiet with its
+        // socket still open.
+        let stream = std::net::TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = FrameReader::new(stream);
+        let fp = loop {
+            match reader.next_frame().expect("hello frame") {
+                Frame::Msg(Msg::Hello { fp, .. }) => break fp,
+                Frame::Idle => continue,
+                other => panic!("expected hello, got {other:?}"),
+            }
+        };
+        let claim = Msg::Claim { fp, worker: "garbled".into(), session: 0, faults: 0 };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &claim).expect("encode claim");
+        *frame.last_mut().unwrap() ^= 0x01; // payload no longer matches its checksum
+        std::io::Write::write_all(&mut writer, &frame).expect("send corrupt frame");
+
+        let result = coord.join().expect("coordinator thread");
+        drop(writer);
+        match result {
+            Err(e) => e,
+            Ok(_) => panic!("a campaign with no working worker must stall"),
+        }
+    });
+    assert!(err.starts_with("fabric stalled:"), "unexpected error: {err}");
+    let last = err.split("last worker error: ").nth(1).expect("stall error names the last fault");
+    assert!(last.contains("wire fault"), "last fault is not the corrupt frame: {err}");
 }
