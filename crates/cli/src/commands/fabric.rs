@@ -18,16 +18,14 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use cochar_colocation::report::heat::ascii_heatmap;
-use cochar_colocation::SweepPolicy;
+use cochar_colocation::{Study, SweepPolicy};
 use cochar_fabric::{
     run_campaign, run_worker, CampaignSpec, FabricConfig, FabricOutcome, WirePlan,
     WorkerChaos, WorkerCmd, WorkerConfig,
 };
-use cochar_colocation::Study;
 
-use crate::commands::heatmap::{failure_report_path, write_failure_report};
-use crate::commands::maybe_write_csv;
+use crate::commands::exit_code;
+use crate::commands::heatmap::print_sweep;
 use crate::opts::Opts;
 
 /// Dispatches `sweep` and the `fabric` subcommands.
@@ -135,25 +133,7 @@ fn report(
     spec: &CampaignSpec,
     outcome: &FabricOutcome,
 ) -> Result<ExitCode, String> {
-    let heat = &outcome.heatmap;
-    println!("{}", ascii_heatmap(heat));
-    let (h, vo, bv) = heat.class_counts();
-    println!("Harmony {h}, Victim-Offender {vo}, Both-Victim {bv} (unordered pairs)");
-    let (truncated, stalled, failed) = heat.status_counts();
-    println!("sweep: truncated {truncated} cells, stalled {stalled} cells, failed {failed} cells");
-    if !outcome.failures.is_empty() {
-        let path = failure_report_path(study);
-        write_failure_report(&path, &outcome.failures)?;
-        eprintln!(
-            "sweep: {} cell failure(s) recorded in {}",
-            outcome.failures.len(),
-            path.display()
-        );
-        for f in &outcome.failures {
-            eprintln!("  {} after {} attempt(s): {}", f.spec, f.attempts, f.cause);
-        }
-    }
-    maybe_write_csv(opts, &heat.to_csv())?;
+    print_sweep(opts, study, &outcome.heatmap, &outcome.failures)?;
 
     let l = &outcome.ledger;
     let cells = spec.names.len() * spec.names.len();
@@ -186,15 +166,7 @@ fn report(
         println!("store: {} resident in {}", store.len(), store.dir().display());
     }
 
-    if outcome.store_degraded {
-        eprintln!("exit: run store degraded mid-sweep (code 3)");
-        Ok(ExitCode::from(3))
-    } else if !outcome.failures.is_empty() {
-        eprintln!("exit: {} cell(s) failed (code 2)", outcome.failures.len());
-        Ok(ExitCode::from(2))
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
+    Ok(exit_code(outcome.store_degraded, outcome.failures.len()))
 }
 
 /// The worker half: connect, work until dismissed, report to stderr.

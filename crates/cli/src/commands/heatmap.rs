@@ -43,36 +43,45 @@ pub fn run(study: &Study, opts: &Opts) -> Result<usize, String> {
                 eprintln!("heatmap: {completed}/{total} cells");
             }
         });
-    println!("{}", ascii_heatmap(&heat));
+    print_sweep(opts, study, &heat, &failures)?;
+    Ok(failures.len())
+}
+
+/// Prints a finished sweep, the same for `heatmap` and `sweep`: the
+/// ASCII matrix, the class and status ledgers, the failure records
+/// (`failures.jsonl` plus a stderr list), and the `--csv` export.
+pub(crate) fn print_sweep(
+    opts: &Opts,
+    study: &Study,
+    heat: &Heatmap,
+    failures: &[CellFailure],
+) -> Result<(), String> {
+    println!("{}", ascii_heatmap(heat));
     let (h, vo, bv) = heat.class_counts();
     println!("Harmony {h}, Victim-Offender {vo}, Both-Victim {bv} (unordered pairs)");
     let (truncated, stalled, failed) = heat.status_counts();
     println!("sweep: truncated {truncated} cells, stalled {stalled} cells, failed {failed} cells");
     if !failures.is_empty() {
         let path = failure_report_path(study);
-        write_failure_report(&path, &failures)?;
+        write_failure_report(&path, failures)?;
         eprintln!("sweep: {} cell failure(s) recorded in {}", failures.len(), path.display());
-        for f in &failures {
+        for f in failures {
             eprintln!("  {} after {} attempt(s): {}", f.spec, f.attempts, f.cause);
         }
     }
-    maybe_write_csv(opts, &heat.to_csv())?;
-    Ok(failures.len())
+    maybe_write_csv(opts, &heat.to_csv())
 }
 
 /// Failures land next to the journal when a store is configured (they
 /// describe what that store is missing), else in the working directory.
-pub(crate) fn failure_report_path(study: &Study) -> PathBuf {
+fn failure_report_path(study: &Study) -> PathBuf {
     match study.store() {
         Some(store) => store.dir().join("failures.jsonl"),
         None => PathBuf::from("failures.jsonl"),
     }
 }
 
-pub(crate) fn write_failure_report(
-    path: &PathBuf,
-    failures: &[CellFailure],
-) -> Result<(), String> {
+fn write_failure_report(path: &PathBuf, failures: &[CellFailure]) -> Result<(), String> {
     let mut text = String::new();
     for f in failures {
         let record = Json::Obj(vec![

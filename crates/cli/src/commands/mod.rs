@@ -16,6 +16,8 @@ pub mod store;
 pub mod throttle;
 pub mod timeline;
 
+use std::process::ExitCode;
+
 use cochar_colocation::Profile;
 use cochar_colocation::report::table::{f1, f2, pct, Table};
 
@@ -49,4 +51,20 @@ pub(crate) fn maybe_write_csv(
         println!("wrote {path}");
     }
     Ok(())
+}
+
+/// The exit code of a command that ran to completion: 3 when the run
+/// store degraded to cache-less operation (an unpersisted sweep is the
+/// bigger surprise for whoever plans to resume it), else 2 when sweep
+/// cells failed, else 0.
+pub(crate) fn exit_code(store_degraded: bool, failed_cells: usize) -> ExitCode {
+    if store_degraded {
+        eprintln!("exit: run store degraded mid-sweep (code 3)");
+        ExitCode::from(3)
+    } else if failed_cells > 0 {
+        eprintln!("exit: {failed_cells} cell(s) failed (code 2)");
+        ExitCode::from(2)
+    } else {
+        ExitCode::SUCCESS
+    }
 }

@@ -132,8 +132,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return commands::bench::run(&opts);
     }
     if opts.command == "sweep" || opts.command == "fabric" {
-        // The fabric owns its exit-code mapping (worker processes, lease
-        // ledger, merge accounting) — it bypasses the single-study path.
+        // The fabric builds its own study and campaign (worker processes,
+        // lease ledger, merge accounting) — it bypasses this path.
         return commands::fabric::run(&opts);
     }
     let study = build_study(&opts, 1.0)?;
@@ -176,19 +176,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             );
         }
     }
-    result.map(|()| {
-        // Degradation wins: an unpersisted sweep is the bigger surprise
-        // for whoever plans to resume it.
-        if study.store_degraded() {
-            eprintln!("exit: run store degraded mid-sweep (code 3)");
-            ExitCode::from(3)
-        } else if failed_cells > 0 {
-            eprintln!("exit: {failed_cells} cell(s) failed (code 2)");
-            ExitCode::from(2)
-        } else {
-            ExitCode::SUCCESS
-        }
-    })
+    result.map(|()| commands::exit_code(study.store_degraded(), failed_cells))
 }
 
 /// Builds the study from the global flags. `default_work` is the work

@@ -35,24 +35,33 @@ fn sweep_args<'a>(extra: &[&'a str]) -> Vec<&'a str> {
 
 #[test]
 fn sweep_csv_is_byte_identical_to_heatmap() {
+    // Each command runs in its own directory with the same `--csv` name,
+    // so their stdout can be compared byte for byte too.
     let dir = tmpdir("ident");
-    let out = cochar_dir(&sweep_args(&["--workers", "2", "--csv", "sweep.csv"]), &dir, &[]);
+    let (sweep_dir, heat_dir) = (dir.join("sweep"), dir.join("heatmap"));
+    std::fs::create_dir_all(&sweep_dir).unwrap();
+    std::fs::create_dir_all(&heat_dir).unwrap();
+    let out = cochar_dir(&sweep_args(&["--workers", "2", "--csv", "out.csv"]), &sweep_dir, &[]);
     assert!(out.status.success(), "sweep failed:\n{}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("fabric: workers 2"), "missing ledger:\n{text}");
-    assert!(text.contains("leases issued"), "missing ledger:\n{text}");
+    let sweep_text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(sweep_text.contains("fabric: workers 2"), "missing ledger:\n{sweep_text}");
+    assert!(sweep_text.contains("leases issued"), "missing ledger:\n{sweep_text}");
 
     let mut heat = vec!["heatmap"];
     heat.extend(APPS);
     heat.extend(FAST);
-    heat.extend(["--csv", "heat.csv"]);
-    let out = cochar_dir(&heat, &dir, &[]);
+    heat.extend(["--csv", "out.csv"]);
+    let out = cochar_dir(&heat, &heat_dir, &[]);
     assert!(out.status.success(), "heatmap failed:\n{}", String::from_utf8_lossy(&out.stderr));
+    let heat_text = String::from_utf8_lossy(&out.stdout);
 
-    let sweep_csv = std::fs::read(dir.join("sweep.csv")).unwrap();
-    let heat_csv = std::fs::read(dir.join("heat.csv")).unwrap();
+    let sweep_csv = std::fs::read(sweep_dir.join("out.csv")).unwrap();
+    let heat_csv = std::fs::read(heat_dir.join("out.csv")).unwrap();
     assert!(!sweep_csv.is_empty());
     assert_eq!(sweep_csv, heat_csv, "sweep CSV must be byte-identical to heatmap CSV");
+    let ledger_at = sweep_text.find("\nfabric:").expect("fabric ledger") + 1;
+    let sweep_report = &sweep_text[..ledger_at];
+    assert_eq!(sweep_report, heat_text, "sweep must print heatmap's report before its ledger");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::classify::{classify, PairClass};
-use crate::study::Study;
+use crate::study::{PairResult, Study};
 use crate::sweep::{supervised_map, CellFailure, SweepPolicy};
 
 /// Measurement quality of one heatmap cell.
@@ -26,6 +26,19 @@ pub enum CellStatus {
     /// The cell's simulation panicked through all its attempts; the value
     /// is NaN.
     Failed,
+}
+
+impl CellStatus {
+    /// The status of a completed co-run: a stall outranks truncation.
+    pub fn of(pair: &PairResult) -> CellStatus {
+        if pair.stalled {
+            CellStatus::Stalled
+        } else if pair.truncated {
+            CellStatus::Truncated
+        } else {
+            CellStatus::Ok
+        }
+    }
 }
 
 /// An N x N matrix of normalized foreground execution times.
@@ -55,42 +68,36 @@ impl Heatmap {
         (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect()
     }
 
-    /// Assembles a heatmap from individually settled cells (the fabric's
-    /// merge path). Cells never supplied stay NaN/`Failed`.
+    /// Assembles a heatmap from a sweep's per-cell results, given in
+    /// [`Heatmap::pair_cells`] order. Failed cells become NaN holes
+    /// marked [`CellStatus::Failed`]; their records come back in cell
+    /// order. Both the local supervisor and the fabric coordinator
+    /// assemble their heatmap here.
     pub fn from_cells(
         names: Vec<String>,
-        cells: impl IntoIterator<Item = (usize, usize, f64, CellStatus)>,
-    ) -> Heatmap {
+        cells: Vec<Result<(f64, CellStatus), CellFailure>>,
+    ) -> (Heatmap, Vec<CellFailure>) {
         let n = names.len();
         let mut norm = vec![vec![f64::NAN; n]; n];
         let mut status = vec![vec![CellStatus::Failed; n]; n];
-        for (i, j, v, st) in cells {
-            norm[i][j] = v;
-            status[i][j] = st;
+        let mut failures = Vec::new();
+        for ((i, j), cell) in Self::pair_cells(n).into_iter().zip(cells) {
+            match cell {
+                Ok((v, st)) => (norm[i][j], status[i][j]) = (v, st),
+                Err(f) => failures.push(f),
+            }
         }
-        Heatmap { names, norm, status }
+        (Heatmap { names, norm, status }, failures)
     }
 
     /// Runs the full ordered-pair sweep over `names` (625 runs for the
     /// paper's 25 applications), parallelized across host cores.
-    pub fn compute(study: &Study, names: &[&str]) -> Heatmap {
-        Self::compute_with_progress(study, names, |_, _| {})
-    }
-
-    /// Like [`Heatmap::compute`], calling `on_cell(completed, total)` as
-    /// each pair cell finishes. With a store-backed study every completed
-    /// cell is already journaled when its tick fires, so the progress
-    /// line doubles as a durability indicator for resumable sweeps.
     ///
     /// Any cell failure is fatal (after the sweep settles); use
     /// [`Heatmap::compute_supervised`] to keep going past failed cells.
-    pub fn compute_with_progress(
-        study: &Study,
-        names: &[&str],
-        on_cell: impl Fn(usize, usize) + Sync,
-    ) -> Heatmap {
+    pub fn compute(study: &Study, names: &[&str]) -> Heatmap {
         let (map, failures) =
-            Self::compute_supervised(study, names, SweepPolicy::default(), on_cell);
+            Self::compute_supervised(study, names, SweepPolicy::default(), |_, _| {});
         if let Some(f) = failures.first() {
             panic!(
                 "heatmap cell {} failed after {} attempt(s): {}",
@@ -103,6 +110,9 @@ impl Heatmap {
     /// The fault-tolerant sweep: cells run under panic isolation with
     /// `policy`'s retry budget, failed cells become NaN holes marked
     /// [`CellStatus::Failed`], and the failures come back as data.
+    /// `on_cell(completed, total)` ticks as each cell settles; with a
+    /// store-backed study every completed cell is already journaled when
+    /// its tick fires.
     ///
     /// With `policy.keep_going` unset, the first failure also skips every
     /// cell not yet claimed (those are reported as failures too).
@@ -120,44 +130,17 @@ impl Heatmap {
         for n in names {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| study.solo(n)));
         }
-        let pairs = Self::pair_cells(names.len());
-        let report = supervised_map(
-            &pairs,
+        let cells = supervised_map(
+            &Self::pair_cells(names.len()),
             policy,
             |_, &(i, j)| format!("{}/{}", names[i], names[j]),
             |&(i, j), attempt| {
                 let pair = study.pair_attempt(names[i], names[j], attempt);
-                let status = if pair.stalled {
-                    CellStatus::Stalled
-                } else if pair.truncated {
-                    CellStatus::Truncated
-                } else {
-                    CellStatus::Ok
-                };
-                (pair.fg_slowdown, status)
+                (pair.fg_slowdown, CellStatus::of(&pair))
             },
             on_cell,
         );
-        let n = names.len();
-        let mut norm = vec![vec![0.0; n]; n];
-        let mut status = vec![vec![CellStatus::Ok; n]; n];
-        let mut failures = Vec::new();
-        for (k, &(i, j)) in pairs.iter().enumerate() {
-            match &report.results[k] {
-                Ok((v, st)) => {
-                    norm[i][j] = *v;
-                    status[i][j] = *st;
-                }
-                Err(f) => {
-                    norm[i][j] = f64::NAN;
-                    status[i][j] = CellStatus::Failed;
-                    failures.push(f.clone());
-                }
-            }
-        }
-        let map =
-            Heatmap { names: names.iter().map(|s| s.to_string()).collect(), norm, status };
-        (map, failures)
+        Self::from_cells(names.iter().map(|s| s.to_string()).collect(), cells)
     }
 
     /// Number of applications.
@@ -278,19 +261,25 @@ mod tests {
     }
 
     #[test]
-    fn from_cells_assembles_and_missing_cells_stay_failed() {
+    fn from_cells_assembles_and_failed_cells_become_holes() {
         assert_eq!(Heatmap::pair_cells(2), vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
-        let h = Heatmap::from_cells(
+        let failure =
+            CellFailure { index: 3, spec: "b/b".into(), cause: "boom".into(), attempts: 1 };
+        let (h, failures) = Heatmap::from_cells(
             vec!["a".into(), "b".into()],
             vec![
-                (0, 0, 1.0, CellStatus::Ok),
-                (0, 1, 1.5, CellStatus::Truncated),
-                (1, 0, 1.2, CellStatus::Ok),
+                Ok((1.0, CellStatus::Ok)),
+                Ok((1.5, CellStatus::Truncated)),
+                Ok((1.2, CellStatus::Ok)),
+                Err(failure),
             ],
         );
         assert_eq!(h.cell_status(0, 1), CellStatus::Truncated);
+        assert!((h.cell(1, 0) - 1.2).abs() < 1e-12);
         assert!(h.cell(1, 1).is_nan());
         assert_eq!(h.cell_status(1, 1), CellStatus::Failed);
+        assert_eq!(failures.len(), 1);
+        assert_eq!((failures[0].index, failures[0].spec.as_str()), (3, "b/b"));
     }
 
     #[test]

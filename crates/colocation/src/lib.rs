@@ -45,4 +45,4 @@ pub use heatmap::{CellStatus, Heatmap};
 pub use metrics::Profile;
 pub use scalability::{ScalabilityClass, ScalabilityCurve};
 pub use study::{PairResult, SoloResult, Study};
-pub use sweep::{supervised_map, CellFailure, SweepPolicy, SweepReport};
+pub use sweep::{supervised_map, CellBook, CellFailure, Settled, SweepPolicy};

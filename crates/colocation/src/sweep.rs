@@ -1,18 +1,14 @@
-//! Parallel sweep driver for independent simulations.
+//! The campaign scheduler and its in-process transport.
 //!
 //! Every cell of the 25 x 25 heatmap (and every point of the scalability
-//! and sensitivity sweeps) is an independent simulation, so sweeps
-//! parallelize across host cores with a simple work-stealing index queue.
-//!
-//! The driver is a *supervisor*, not just a thread pool: each cell runs
-//! under `catch_unwind`, so one panicking simulation cannot take down the
-//! other 624 cells of a heatmap (or poison the result slots — every lock
-//! here is poison-tolerant). Failed cells are retried up to a policy
-//! bound with the attempt number threaded into the cell function for
-//! deterministic reseeding, and whatever still fails is returned as a
-//! typed [`CellFailure`] instead of an unwind, leaving callers to decide
-//! between holes-in-the-output (`--keep-going`) and stopping the sweep
-//! (`--fail-fast`).
+//! and sensitivity sweeps) is an independent simulation. One scheduler,
+//! the [`CellBook`], decides each cell's fate: it hands out claims, turns
+//! a panicked attempt into a retry or a final [`CellFailure`], skips the
+//! rest under fail-fast, and returns the results in input order. Two
+//! transports drain it: [`supervised_map`] runs claims on host threads,
+//! each under `catch_unwind` so one panicking simulation cannot take down
+//! the other 624 cells, and the fabric coordinator (`cochar-fabric`)
+//! leases them to worker processes over TCP.
 //!
 //! Workers pin themselves round-robin onto the host CPUs the process is
 //! allowed to run on (see [`affinity`]): sweep cells are themselves
@@ -20,9 +16,9 @@
 //! avoids migration-induced wall-clock noise in the measured cells. Set
 //! `COCHAR_NO_PIN` to leave scheduling to the OS.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// One cell that exhausted its attempts (or was skipped by fail-fast).
 #[derive(Clone, Debug)]
@@ -56,46 +52,180 @@ impl Default for SweepPolicy {
     }
 }
 
-/// The outcome of a supervised sweep: one slot per input, in input order.
-#[derive(Debug)]
-pub struct SweepReport<R> {
-    /// Per-cell results; `Err` cells exhausted their attempts or were
-    /// skipped by fail-fast.
-    pub results: Vec<Result<R, CellFailure>>,
+/// One cell's state in a [`CellBook`].
+enum Slot<R> {
+    /// Queued or in flight.
+    Open,
+    /// Settled with a value.
+    Done(R),
+    /// Settled as a final failure or a fail-fast skip.
+    Failed { cause: String, attempts: u32 },
 }
 
-impl<R> SweepReport<R> {
-    /// The failed cells, in input order.
-    pub fn failures(&self) -> Vec<&CellFailure> {
-        self.results.iter().filter_map(|r| r.as_ref().err()).collect()
+/// What [`CellBook::settle`] or [`CellBook::fail`] made of an outcome.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Settled {
+    /// The cell had already settled; the outcome is dismissed.
+    Duplicate,
+    /// A panic within the retry budget: the cell is queued again, first
+    /// in line, with `attempt + 1`.
+    Retry,
+    /// The cell settled for good, as a value or a final failure.
+    Final {
+        /// Cells settled so far, not counting fail-fast skips: the
+        /// `on_done(done, total)` progress tick.
+        done: usize,
+    },
+}
+
+/// The campaign scheduler: which `(index, attempt)` claims are still to
+/// run, and how each cell ended.
+///
+/// Only the book applies the [`SweepPolicy`]: a panic within budget is
+/// queued again with `attempt + 1`, any other outcome is final, and under
+/// fail-fast the first final failure skips every queued cell and stops
+/// further claims. A cell settles exactly once; late and duplicate
+/// outcomes are dismissed. Transports report lost claims through
+/// [`release`](CellBook::release) and give up on a cell through
+/// [`fail`](CellBook::fail).
+pub struct CellBook<R> {
+    policy: SweepPolicy,
+    /// Claimable `(index, attempt)` pairs. Entries whose cell settled
+    /// while they waited are dropped by `claim`.
+    queue: VecDeque<(usize, u32)>,
+    slots: Vec<Slot<R>>,
+    /// Settled cells, skips included.
+    settled: usize,
+    /// Settled cells, skips excluded.
+    done: usize,
+    /// Fail-fast has tripped: nothing is queued any more.
+    stopped: bool,
+}
+
+impl<R> CellBook<R> {
+    /// A book of `total` cells, all queued at attempt 0 in index order.
+    pub fn new(total: usize, policy: SweepPolicy) -> Self {
+        CellBook {
+            policy,
+            queue: (0..total).map(|i| (i, 0)).collect(),
+            slots: (0..total).map(|_| Slot::Open).collect(),
+            settled: 0,
+            done: 0,
+            stopped: false,
+        }
     }
 
-    /// Number of failed cells.
-    pub fn failure_count(&self) -> usize {
-        self.results.iter().filter(|r| r.is_err()).count()
+    /// Number of cells in the book.
+    pub fn total(&self) -> usize {
+        self.slots.len()
     }
 
-    /// Unwraps every cell, panicking with the first failure's cause.
-    ///
-    /// This restores pre-supervisor semantics for callers that treat any
-    /// failure as fatal — but only *after* the sweep completed, so cells
-    /// that succeeded have already been journaled to the run store.
-    pub fn unwrap_all(self) -> Vec<R> {
-        self.results
+    /// Cells not yet settled (queued or in flight).
+    pub fn unsettled(&self) -> usize {
+        self.total() - self.settled
+    }
+
+    /// True once every cell has settled.
+    pub fn is_done(&self) -> bool {
+        self.unsettled() == 0
+    }
+
+    /// True if cell `index` has settled (value, failure, or skip).
+    pub fn is_settled(&self, index: usize) -> bool {
+        !matches!(self.slots[index], Slot::Open)
+    }
+
+    /// The next cell to run, or `None` when nothing is claimable right
+    /// now: other cells may still be in flight, and a panic among them
+    /// can requeue one. Once fail-fast stops the sweep the queue stays
+    /// empty, so no claim succeeds.
+    pub fn claim(&mut self) -> Option<(usize, u32)> {
+        while let Some((index, attempt)) = self.queue.pop_front() {
+            if !self.is_settled(index) {
+                return Some((index, attempt));
+            }
+        }
+        None
+    }
+
+    /// Settles one attempt of cell `index`: `Ok` with its value, or `Err`
+    /// with the panic message.
+    pub fn settle(&mut self, index: usize, attempt: u32, outcome: Result<R, String>) -> Settled {
+        if self.is_settled(index) {
+            return Settled::Duplicate;
+        }
+        match outcome {
+            Ok(value) => self.finish(index, Slot::Done(value)),
+            Err(_) if attempt < self.policy.max_retries && !self.stopped => {
+                self.queue.push_front((index, attempt + 1));
+                Settled::Retry
+            }
+            Err(cause) => self.fail(index, cause, attempt + 1),
+        }
+    }
+
+    /// Records a final failure for cell `index` after `attempts`
+    /// attempts. Under fail-fast this stops the sweep: every queued cell
+    /// is skipped and no further claim succeeds.
+    pub fn fail(&mut self, index: usize, cause: String, attempts: u32) -> Settled {
+        if self.is_settled(index) {
+            return Settled::Duplicate;
+        }
+        let settled = self.finish(index, Slot::Failed { cause, attempts });
+        if !self.policy.keep_going && !self.stopped {
+            self.stopped = true;
+            while let Some((queued, _)) = self.queue.pop_front() {
+                self.skip(queued);
+            }
+        }
+        settled
+    }
+
+    /// Hands back a claimed cell whose attempt produced no outcome (its
+    /// lease was lost). It is queued again at the same attempt — or
+    /// skipped, if fail-fast has stopped the sweep meanwhile.
+    pub fn release(&mut self, index: usize, attempt: u32) {
+        if self.stopped {
+            self.skip(index);
+        } else if !self.is_settled(index) {
+            self.queue.push_back((index, attempt));
+        }
+    }
+
+    /// The per-cell results in index order, naming failed cells with
+    /// `label(index)`. Call once every cell has settled.
+    pub fn results(self, label: impl Fn(usize) -> String) -> Vec<Result<R, CellFailure>> {
+        self.slots
             .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(f) => panic!(
-                    "sweep cell {} failed after {} attempt(s): {}",
-                    f.spec, f.attempts, f.cause
-                ),
+            .enumerate()
+            .map(|(index, slot)| match slot {
+                Slot::Done(value) => Ok(value),
+                Slot::Failed { cause, attempts } => {
+                    Err(CellFailure { index, spec: label(index), cause, attempts })
+                }
+                Slot::Open => unreachable!("cell {index} never settled"),
             })
             .collect()
+    }
+
+    fn finish(&mut self, index: usize, slot: Slot<R>) -> Settled {
+        self.slots[index] = slot;
+        self.settled += 1;
+        self.done += 1;
+        Settled::Final { done: self.done }
+    }
+
+    fn skip(&mut self, index: usize) {
+        if !self.is_settled(index) {
+            self.slots[index] =
+                Slot::Failed { cause: "skipped (fail-fast)".to_string(), attempts: 0 };
+            self.settled += 1;
+        }
     }
 }
 
 /// Renders an unwind payload; panics almost always carry a message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -105,25 +235,29 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Locks ignoring poison: slots hold plain data, and the panic that
+/// Locks ignoring poison: the book holds plain data, and the panic that
 /// poisoned a lock has already been converted to a [`CellFailure`].
 fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Maps `f` over `items` under panic isolation with retries.
+/// Maps `f` over `items` under panic isolation with retries, on up to
+/// `available_parallelism` host threads draining one [`CellBook`]. With
+/// one thread (or one item) the cells run inline on the calling thread.
 ///
 /// `spec_label(i, item)` names cell `i` for failure records;
 /// `f(item, attempt)` runs one attempt (attempt 0 first); `on_done`
 /// ticks after every *settled* cell — success or final failure, but not
-/// fail-fast skips, so progress counts real work.
+/// fail-fast skips, so progress counts real work. With a store-backed
+/// study each tick marks durable progress: a killed sweep restarts from
+/// roughly the last tick printed, not from zero.
 pub fn supervised_map<T, R, L, F, P>(
     items: &[T],
     policy: SweepPolicy,
     spec_label: L,
     f: F,
     on_done: P,
-) -> SweepReport<R>
+) -> Vec<Result<R, CellFailure>>
 where
     T: Sync,
     R: Send,
@@ -132,133 +266,82 @@ where
     P: Fn(usize, usize) + Sync,
 {
     let total = items.len();
-    let done = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let run_cell = |i: usize, item: &T| -> Result<R, CellFailure> {
-        let mut cause = String::new();
-        let mut attempts = 0;
-        for attempt in 0..=policy.max_retries {
-            attempts = attempt + 1;
-            match catch_unwind(AssertUnwindSafe(|| f(item, attempt))) {
-                Ok(r) => return Ok(r),
-                Err(payload) => cause = panic_message(payload),
+    let book = Mutex::new(CellBook::new(total, policy));
+    // Signalled on every settle: a retry made a cell claimable, or the
+    // last cell settled.
+    let settled = Condvar::new();
+    let work = || loop {
+        let claimed = {
+            let mut b = lock_tolerant(&book);
+            loop {
+                if let Some(claim) = b.claim() {
+                    break Some(claim);
+                }
+                if b.is_done() {
+                    break None;
+                }
+                b = settled.wait(b).unwrap_or_else(PoisonError::into_inner);
             }
+        };
+        let Some((i, attempt)) = claimed else { return };
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(&items[i], attempt)));
+        let mut b = lock_tolerant(&book);
+        if let Settled::Final { done } = b.settle(i, attempt, outcome.map_err(panic_message)) {
+            on_done(done, total);
         }
-        Err(CellFailure { index: i, spec: spec_label(i, item), cause, attempts })
-    };
-    let settle = |res: &Result<R, CellFailure>| {
-        if res.is_err() && !policy.keep_going {
-            stop.store(true, Ordering::Relaxed);
-        }
-        on_done(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-    };
-    let skipped = |i: usize, item: &T| CellFailure {
-        index: i,
-        spec: spec_label(i, item),
-        cause: "skipped (fail-fast)".to_string(),
-        attempts: 0,
+        settled.notify_all();
     };
 
     let workers = std::thread::available_parallelism()
         .map(|x| x.get())
         .unwrap_or(1)
         .min(total.max(1));
-    if workers <= 1 || total <= 1 {
-        let mut results = Vec::with_capacity(total);
-        for (i, item) in items.iter().enumerate() {
-            if stop.load(Ordering::Relaxed) {
-                results.push(Err(skipped(i, item)));
-                continue;
-            }
-            let res = run_cell(i, item);
-            settle(&res);
-            results.push(res);
-        }
-        return SweepReport { results };
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, CellFailure>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    let cpus = if std::env::var_os("COCHAR_NO_PIN").is_none() {
-        affinity::allowed_cpus()
+    if workers <= 1 {
+        work();
     } else {
-        Vec::new()
-    };
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let (stop, next, slots) = (&stop, &next, &slots);
-            let (run_cell, settle) = (&run_cell, &settle);
-            let cpus = &cpus;
-            s.spawn(move || {
-                if let Some(&cpu) = cpus.get(w % cpus.len().max(1)) {
-                    // Best-effort: an unpinnable worker still sweeps.
-                    affinity::pin_to(cpu);
-                }
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
+        let cpus = if std::env::var_os("COCHAR_NO_PIN").is_none() {
+            affinity::allowed_cpus()
+        } else {
+            Vec::new()
+        };
+        std::thread::scope(|s| {
+            for w in 0..workers {
+                let (cpus, work) = (&cpus, &work);
+                s.spawn(move || {
+                    if let Some(&cpu) = cpus.get(w % cpus.len().max(1)) {
+                        // Best-effort: an unpinnable worker still sweeps.
+                        affinity::pin_to(cpu);
                     }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let res = run_cell(i, &items[i]);
-                    settle(&res);
-                    *lock_tolerant(&slots[i]) = Some(res);
-                }
-            });
-        }
-    });
-    let results = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, m)| {
-            lock_tolerant(&m)
-                .take()
-                .unwrap_or_else(|| Err(skipped(i, &items[i])))
-        })
-        .collect();
-    SweepReport { results }
+                    work();
+                });
+            }
+        });
+    }
+    let book = book.into_inner().unwrap_or_else(PoisonError::into_inner);
+    book.results(|i| spec_label(i, &items[i]))
 }
 
 /// Maps `f` over `items` using up to `available_parallelism` host threads,
-/// preserving order. Falls back to sequential execution for small inputs.
+/// preserving order. Runs inline for one item or one host CPU.
+///
+/// A panicking item still fails the whole map (callers of this simple
+/// API expect infallible cells), but only after every other cell has
+/// settled — completed cells reach the run store either way.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_progress(items, f, |_, _| {})
-}
-
-/// Like [`parallel_map`], but calls `on_done(completed, total)` after each
-/// item finishes (from the completing worker's thread, completion order).
-///
-/// This is the hook resumable sweeps hang progress reporting on: because
-/// a store-backed study journals every run as it completes, each
-/// `on_done` tick marks durable progress — a killed sweep restarts from
-/// roughly the last tick printed, not from zero.
-///
-/// A panicking item still fails the whole map (callers of this simple
-/// API expect infallible cells), but only after every other cell has
-/// settled — completed cells reach the run store either way.
-pub fn parallel_map_progress<T, R, F, P>(items: &[T], f: F, on_done: P) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    P: Fn(usize, usize) + Sync,
-{
-    supervised_map(
-        items,
-        SweepPolicy::default(),
-        |i, _| format!("cell {i}"),
-        |item, _attempt| f(item),
-        on_done,
-    )
-    .unwrap_all()
+    let label = |i, _: &T| format!("cell {i}");
+    supervised_map(items, SweepPolicy::default(), label, |item, _| f(item), |_, _| {})
+        .into_iter()
+        .map(|r| {
+            r.unwrap_or_else(|f| {
+                panic!("sweep cell {} failed after {} attempt(s): {}", f.spec, f.attempts, f.cause)
+            })
+        })
+        .collect()
 }
 
 /// Worker→CPU pinning through `sched_{get,set}affinity(2)`, declared
@@ -316,7 +399,16 @@ pub mod affinity {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The failed cells of a sweep, in input order.
+    fn failures<R>(results: &[Result<R, CellFailure>]) -> Vec<&CellFailure> {
+        results.iter().filter_map(|r| r.as_ref().err()).collect()
+    }
 
     /// On Linux the process must be allowed on at least one CPU, and
     /// pinning a thread to an allowed CPU must succeed. Run on a scratch
@@ -356,13 +448,14 @@ mod tests {
 
     #[test]
     fn progress_ticks_once_per_item_and_reaches_total() {
-        use std::sync::atomic::AtomicUsize;
         let max_seen = AtomicUsize::new(0);
         let ticks = AtomicUsize::new(0);
         let items: Vec<u64> = (0..53).collect();
-        let out = parallel_map_progress(
+        let report = supervised_map(
             &items,
-            |&x| x + 1,
+            SweepPolicy::default(),
+            |i, _| format!("cell {i}"),
+            |&x, _| x + 1,
             |completed, total| {
                 assert_eq!(total, 53);
                 assert!(completed >= 1 && completed <= total);
@@ -370,26 +463,32 @@ mod tests {
                 max_seen.fetch_max(completed, Ordering::Relaxed);
             },
         );
-        assert_eq!(out.len(), 53);
+        assert!(report.iter().all(Result::is_ok));
+        assert_eq!(report.len(), 53);
         assert_eq!(ticks.load(Ordering::Relaxed), 53);
         assert_eq!(max_seen.load(Ordering::Relaxed), 53);
     }
 
     #[test]
     fn progress_sequential_path_matches() {
-        let ticks = std::sync::atomic::AtomicUsize::new(0);
-        let out = parallel_map_progress(&[9u64], |&x| x, |c, t| {
-            assert_eq!((c, t), (1, 1));
-            ticks.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(out, vec![9]);
+        let ticks = AtomicUsize::new(0);
+        let report = supervised_map(
+            &[9u64],
+            SweepPolicy::default(),
+            |i, _| format!("cell {i}"),
+            |&x, _| x,
+            |c, t| {
+                assert_eq!((c, t), (1, 1));
+                ticks.fetch_add(1, Ordering::Relaxed);
+            },
+        );
+        assert_eq!(*report[0].as_ref().unwrap(), 9);
         assert_eq!(ticks.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn heavy_closure_runs_once_per_item() {
-        use std::sync::atomic::AtomicU64;
-        let calls = AtomicU64::new(0);
+        let calls = AtomicUsize::new(0);
         let items: Vec<u64> = (0..37).collect();
         let out = parallel_map(&items, |&x| {
             calls.fetch_add(1, Ordering::Relaxed);
@@ -414,12 +513,12 @@ mod tests {
             },
             |_, _| {},
         );
-        assert_eq!(report.failure_count(), 1);
-        let fail = report.failures()[0];
+        assert_eq!(failures(&report).len(), 1);
+        let fail = failures(&report)[0];
         assert_eq!((fail.index, fail.attempts), (13, 1));
         assert_eq!(fail.spec, "item 13");
         assert!(fail.cause.contains("unlucky"), "{}", fail.cause);
-        for (i, r) in report.results.iter().enumerate() {
+        for (i, r) in report.iter().enumerate() {
             if i != 13 {
                 assert_eq!(*r.as_ref().unwrap(), items[i] * 2);
             }
@@ -428,8 +527,7 @@ mod tests {
 
     #[test]
     fn retries_rerun_the_cell_with_the_attempt_number() {
-        use std::sync::atomic::AtomicU64;
-        let calls = AtomicU64::new(0);
+        let calls = AtomicUsize::new(0);
         let report = supervised_map(
             &[5u64],
             SweepPolicy { max_retries: 2, keep_going: true },
@@ -444,7 +542,7 @@ mod tests {
             |_, _| {},
         );
         assert_eq!(calls.load(Ordering::Relaxed), 3);
-        assert_eq!(*report.results[0].as_ref().unwrap(), 7);
+        assert_eq!(*report[0].as_ref().unwrap(), 7);
     }
 
     #[test]
@@ -456,7 +554,7 @@ mod tests {
             |_, attempt| -> u64 { panic!("always broken (attempt {attempt})") },
             |_, _| {},
         );
-        let fail = report.failures()[0];
+        let fail = failures(&report)[0];
         assert_eq!(fail.attempts, 2);
         assert!(fail.cause.contains("attempt 1"), "{}", fail.cause);
     }
@@ -474,14 +572,10 @@ mod tests {
             |_, _| -> u64 { panic!("doomed") },
             |_, _| {},
         );
-        assert_eq!(report.failure_count(), 200);
-        let skipped = report
-            .failures()
-            .iter()
-            .filter(|f| f.cause.contains("skipped"))
-            .count();
+        assert_eq!(failures(&report).len(), 200);
+        let skipped = failures(&report).iter().filter(|f| f.cause.contains("skipped")).count();
         assert!(skipped > 0, "fail-fast never engaged over 200 doomed cells");
-        for f in report.failures() {
+        for f in failures(&report) {
             assert!(f.attempts <= 1);
         }
     }
@@ -504,7 +598,7 @@ mod tests {
                 ticks.fetch_add(1, Ordering::Relaxed);
             },
         );
-        assert_eq!(report.failure_count(), 10);
+        assert_eq!(failures(&report).len(), 10);
         assert_eq!(ticks.load(Ordering::Relaxed), 30, "every settled cell ticks");
     }
 
@@ -518,5 +612,121 @@ mod tests {
             }
             x
         });
+    }
+
+    #[test]
+    fn released_claims_requeue_until_fail_fast_skips_them() {
+        let mut book: CellBook<()> =
+            CellBook::new(3, SweepPolicy { max_retries: 0, keep_going: false });
+        let (a, b, c) = (book.claim().unwrap(), book.claim().unwrap(), book.claim().unwrap());
+        assert_eq!((a, b, c), ((0, 0), (1, 0), (2, 0)));
+        book.release(1, 0);
+        assert_eq!(book.claim(), Some((1, 0)), "a lost lease is claimable again");
+        // A transport-level failure is final and trips fail-fast.
+        assert_eq!(book.fail(0, "lease lost".into(), 0), Settled::Final { done: 1 });
+        assert_eq!(book.claim(), None);
+        // Claims still in flight when the sweep stopped: one is lost (a
+        // skip), the other reports late and still counts.
+        book.release(1, 0);
+        assert_eq!(book.settle(2, 0, Ok(())), Settled::Final { done: 2 });
+        assert_eq!(book.settle(2, 0, Ok(())), Settled::Duplicate);
+        assert!(book.is_done());
+        let results = book.results(|i| format!("cell {i}"));
+        let skipped = results[1].as_ref().unwrap_err();
+        assert_eq!((skipped.cause.as_str(), skipped.attempts), ("skipped (fail-fast)", 0));
+        assert!(results[2].is_ok());
+    }
+
+    #[test]
+    fn a_cell_settled_while_queued_is_never_claimed() {
+        let mut book = CellBook::new(2, SweepPolicy::default());
+        assert_eq!(book.settle(0, 0, Ok(7u8)), Settled::Final { done: 1 });
+        assert_eq!(book.claim(), Some((1, 0)));
+        assert_eq!(book.claim(), None);
+        assert_eq!(book.unsettled(), 1);
+    }
+
+    /// Drives one book through a random interleaving of claims and
+    /// settles from `lanes` concurrent claimants, checking the scheduler
+    /// contract at every step.
+    fn drive_book(seed: u64, total: usize, lanes: usize, policy: SweepPolicy) {
+        let mut rng = proptest::TestRng::from_label(&format!("{seed}"));
+        let mut book = CellBook::new(total, policy);
+        let mut in_flight: Vec<(usize, u32)> = Vec::new();
+        let mut claims = vec![0u32; total];
+        let mut finals = vec![0u32; total];
+        let mut ticks = 0;
+        let mut stopped = false;
+        while !book.is_done() {
+            let can_claim = in_flight.len() < lanes;
+            if can_claim && (in_flight.is_empty() || rng.below(2) == 0) {
+                match book.claim() {
+                    Some((i, attempt)) => {
+                        assert!(!stopped, "cell {i} claimed after fail-fast stopped the sweep");
+                        assert_eq!(attempt, claims[i], "attempts count up from 0");
+                        claims[i] += 1;
+                        assert!(claims[i] <= policy.max_retries + 1);
+                        in_flight.push((i, attempt));
+                    }
+                    None => assert!(
+                        !in_flight.is_empty(),
+                        "nothing claimable and nothing in flight, yet not done"
+                    ),
+                }
+                continue;
+            }
+            let (i, attempt) = in_flight.swap_remove(rng.below(in_flight.len() as u64) as usize);
+            let outcome = if rng.below(3) == 0 { Err(format!("panic {attempt}")) } else { Ok(i) };
+            let failed = outcome.is_err();
+            match book.settle(i, attempt, outcome) {
+                Settled::Final { done } => {
+                    finals[i] += 1;
+                    ticks += 1;
+                    assert_eq!(done, ticks, "ticks count settles one by one");
+                    stopped |= failed && !policy.keep_going;
+                }
+                Settled::Retry => assert!(failed && attempt < policy.max_retries),
+                Settled::Duplicate => panic!("cell {i} was claimed once per attempt"),
+            }
+        }
+        let results = book.results(|i| format!("cell {i}"));
+        assert_eq!(results.len(), total);
+        let mut non_skip = 0;
+        for (i, r) in results.iter().enumerate() {
+            match r {
+                Ok(v) => assert_eq!(*v, i, "results come back in input order"),
+                Err(f) => {
+                    assert_eq!(f.index, i);
+                    assert_eq!(f.spec, format!("cell {i}"));
+                    assert!(f.attempts <= policy.max_retries + 1);
+                    if f.attempts == 0 {
+                        assert_eq!(f.cause, "skipped (fail-fast)");
+                        assert!(!policy.keep_going, "keep-going never skips");
+                        assert_eq!(finals[i], 0);
+                        continue;
+                    }
+                    assert_eq!(f.attempts, claims[i]);
+                }
+            }
+            assert_eq!(finals[i], 1, "cell {i} settles exactly once");
+            non_skip += 1;
+        }
+        assert_eq!(ticks, non_skip, "one on_done tick per non-skip settle");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn book_settles_every_cell_once_under_random_interleavings(
+            seed in any::<u64>(),
+            total in 0usize..40,
+            lanes in 1usize..6,
+            max_retries in 0u32..4,
+        ) {
+            for keep_going in [true, false] {
+                drive_book(seed, total, lanes, SweepPolicy { max_retries, keep_going });
+            }
+        }
     }
 }

@@ -1,24 +1,23 @@
-//! The campaign coordinator.
+//! The campaign coordinator: the networked transport over the shared
+//! cell scheduler.
 //!
 //! One coordinator owns one campaign: the row-major list of heatmap pair
-//! cells over the campaign's names. Cells are handed to workers in
-//! *leases* (small batches with a deadline), results stream back one cell
-//! at a time, and the coordinator is the only writer of campaign state —
-//! workers are stateless cell evaluators.
+//! cells over the campaign's names, scheduled by the same
+//! [`CellBook`] that runs a single-process `heatmap`. The book decides
+//! every retry, final [`cochar_colocation::CellFailure`], and fail-fast
+//! skip; this module only moves its claims over TCP. Claims are handed
+//! to workers in *leases* (small batches with a deadline), results stream
+//! back one cell at a time and are settled into the book, and the
+//! coordinator is the only writer of campaign state — workers are
+//! stateless cell evaluators that never retry on their own, so no cell
+//! ever simulates more than `max_retries + 1` attempts campaign-wide.
 //!
-//! Failure handling is split in two, mirroring the single-process
-//! supervisor:
-//!
-//! * A cell that *panics* inside a worker comes back as a `result` with a
-//!   panic cause. The coordinator applies the [`SweepPolicy`] retry
-//!   budget (attempt + 1, deterministic reseed) or records a final
-//!   [`CellFailure`] — workers never retry on their own, so no cell ever
-//!   simulates more than `max_retries + 1` attempts campaign-wide.
-//! * A *worker* that dies (socket EOF) or goes silent (lease deadline
-//!   passes without a heartbeat) has its outstanding cells re-queued with
-//!   an incremented issue count; a cell whose lease is lost
-//!   [`FabricConfig::max_issues`] times fails with a delivery error
-//!   instead of cycling forever.
+//! What belongs to the transport alone is delivery: a *worker* that dies
+//! (socket EOF) or goes silent (lease deadline passes without a
+//! heartbeat) has its outstanding claims released back to the book; a
+//! cell whose lease is lost [`FabricConfig::max_issues`] times is failed
+//! with a delivery error instead of cycling forever. A result naming a
+//! cell outside the campaign is a wire fault that drops its connection.
 //!
 //! Results are merged into the canonical store twice over: journal lines
 //! riding on each `result` frame are verified and merged as they arrive,
@@ -33,19 +32,18 @@
 //! cached-cell resolution pass re-adopts every cell whose runs already
 //! landed in the journal, and only the missing ones are re-issued.
 //! Duplicate results (a reconnecting worker resending an unacked result,
-//! or a chaos-duplicated frame) are dismissed by the settled-cell check
-//! and counted in [`FabricLedger::results_duplicate`]; the record merge
-//! underneath is content-addressed dedup either way, so nothing is ever
-//! double-merged.
+//! or a chaos-duplicated frame) are dismissed by the book and counted in
+//! [`FabricLedger::results_duplicate`]; the record merge underneath is
+//! content-addressed dedup either way, so nothing is ever double-merged.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use cochar_colocation::{CellFailure, CellStatus, Heatmap, Study, SweepPolicy};
+use cochar_colocation::{CellBook, CellFailure, CellStatus, Heatmap, Settled, Study, SweepPolicy};
 use cochar_store::journal::{parse_record, render_record};
 use cochar_store::RunStore;
 
@@ -170,35 +168,33 @@ pub struct FabricOutcome {
     pub resumed: Option<ResumePrior>,
 }
 
-/// One queued unit of work.
-#[derive(Clone, Copy, Debug)]
-struct QueuedCell {
-    idx: usize,
-    attempt: u32,
-    issue: u32,
-}
-
 struct LeaseRec {
     conn: u64,
     deadline: Instant,
-    cells: Vec<QueuedCell>,
+    /// The book's `(index, attempt)` claims this lease carries.
+    cells: Vec<(usize, u32)>,
 }
 
 struct CoordState {
-    queue: VecDeque<QueuedCell>,
+    book: CellBook<(f64, CellStatus)>,
+    /// Leases lost so far, per cell (the `max_issues` budget).
+    issues: Vec<u32>,
     leases: HashMap<u64, LeaseRec>,
-    norm: Vec<f64>,
-    status: Vec<CellStatus>,
-    cell_done: Vec<bool>,
-    failures: Vec<Option<CellFailure>>,
-    settled: usize,
-    total: usize,
-    done: bool,
-    stop_issuing: bool,
+    /// The stall watchdog gave up on the campaign.
+    aborted: bool,
     next_lease: u64,
     ledger: FabricLedger,
     last_activity: Instant,
 }
+
+impl CoordState {
+    fn done(&self) -> bool {
+        self.aborted || self.book.is_done()
+    }
+}
+
+/// The pair-cell progress callback, `on_cell(settled, total)`.
+type OnCell<'a> = &'a (dyn Fn(usize, usize) + Sync);
 
 struct Coord {
     state: Mutex<CoordState>,
@@ -218,97 +214,66 @@ struct Coord {
 
 impl Coord {
     fn lock(&self) -> std::sync::MutexGuard<'_, CoordState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Logs a worker fault (wire fault, read error, worker death, or
     /// dropped record) and remembers it as the latest one.
     fn worker_fault(&self, fault: String) {
         eprintln!("fabric: {fault}");
-        *self.last_fault.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(fault);
+        *self.last_fault.lock().unwrap_or_else(PoisonError::into_inner) = Some(fault);
     }
 
     /// The latest worker fault, for the stall error.
     fn describe_last_fault(&self) -> String {
-        let last = self.last_fault.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let last = self.last_fault.lock().unwrap_or_else(PoisonError::into_inner);
         last.clone().unwrap_or_else(|| "none seen".to_string())
     }
 
-    fn cell_spec(&self, idx: usize) -> String {
-        let n = self.spec.names.len();
-        format!("{}/{}", self.spec.names[idx / n], self.spec.names[idx % n])
-    }
-
-    /// Records a final failure for a not-yet-settled cell.
-    fn fail_cell(&self, st: &mut CoordState, idx: usize, cause: String, attempts: u32) {
-        if st.cell_done[idx] {
-            return;
-        }
-        st.cell_done[idx] = true;
-        st.norm[idx] = f64::NAN;
-        st.status[idx] = CellStatus::Failed;
-        st.failures[idx] =
-            Some(CellFailure { index: idx, spec: self.cell_spec(idx), cause, attempts });
-        st.settled += 1;
-    }
-
-    /// Fail-fast: every still-queued cell becomes a skip, matching the
-    /// single-process supervisor's accounting.
-    fn drain_queue_as_skipped(&self, st: &mut CoordState) {
-        st.stop_issuing = true;
-        while let Some(c) = st.queue.pop_front() {
-            self.fail_cell(st, c.idx, "skipped (fail-fast)".to_string(), 0);
-        }
-    }
-
-    /// Puts a lease's lost cells back on the queue (worker death or
-    /// deadline expiry), honoring the issue budget.
-    fn requeue_lease(&self, st: &mut CoordState, lease: LeaseRec) {
+    /// Hands a lost lease's unsettled claims back to the book (worker
+    /// death or deadline expiry), failing cells past the issue budget.
+    fn requeue_lease(&self, st: &mut CoordState, lease: LeaseRec, on_cell: OnCell<'_>) {
         st.ledger.leases_reissued += 1;
-        for c in lease.cells {
-            if st.cell_done[c.idx] {
+        for (idx, attempt) in lease.cells {
+            if st.book.is_settled(idx) {
                 continue;
             }
-            let issue = c.issue + 1;
+            st.issues[idx] += 1;
+            let issue = st.issues[idx];
             if issue > self.cfg.max_issues {
-                self.fail_cell(
-                    st,
-                    c.idx,
-                    format!("lease lost {issue} times without a result (workers dying?)"),
-                    c.attempt,
-                );
-            } else if st.stop_issuing {
-                self.fail_cell(st, c.idx, "skipped (fail-fast)".to_string(), 0);
+                let cause = format!("lease lost {issue} times without a result (workers dying?)");
+                if let Settled::Final { done } = st.book.fail(idx, cause, attempt) {
+                    on_cell(done, st.book.total());
+                }
             } else {
-                st.queue.push_back(QueuedCell { idx: c.idx, attempt: c.attempt, issue });
+                st.book.release(idx, attempt);
             }
         }
         self.after_settle(st);
     }
 
-    fn after_settle(&self, st: &mut CoordState) {
-        if st.settled == st.total {
-            st.done = true;
+    fn after_settle(&self, st: &CoordState) {
+        if st.done() {
             self.cv.notify_all();
         }
     }
 
-    /// Carves the next lease off the queue for `conn`, if any work is
-    /// available.
+    /// Carves the next lease out of the book's claims for `conn`, if
+    /// any work is claimable.
     fn carve(&self, st: &mut CoordState, conn: u64) -> Option<(u64, Vec<WireCell>)> {
-        if st.done || st.stop_issuing || st.queue.is_empty() {
+        let cells: Vec<(usize, u32)> =
+            std::iter::from_fn(|| st.book.claim()).take(self.cfg.lease_cells.max(1)).collect();
+        if cells.is_empty() {
             return None;
         }
         let n = self.spec.names.len();
-        let take = self.cfg.lease_cells.max(1).min(st.queue.len());
-        let cells: Vec<QueuedCell> = (0..take).filter_map(|_| st.queue.pop_front()).collect();
         let wire: Vec<WireCell> = cells
             .iter()
-            .map(|c| WireCell {
-                fg: c.idx / n,
-                bg: c.idx % n,
-                attempt: c.attempt,
-                issue: c.issue,
+            .map(|&(idx, attempt)| WireCell {
+                fg: idx / n,
+                bg: idx % n,
+                attempt,
+                issue: st.issues[idx],
             })
             .collect();
         let id = st.next_lease;
@@ -349,75 +314,50 @@ impl Coord {
         }
     }
 
-    /// Applies one worker result; `on_cell` ticks settled progress.
+    /// Settles one worker result for cell `idx` into the book; `on_cell`
+    /// ticks settled progress.
     fn settle_result(
         &self,
         lease_id: u64,
-        cell: WireCell,
+        idx: usize,
+        attempt: u32,
         outcome: CellOutcome,
-        on_cell: &(impl Fn(usize, usize) + Sync),
+        on_cell: OnCell<'_>,
     ) {
-        let n = self.spec.names.len();
-        let idx = cell.fg * n + cell.bg;
         let mut st = self.lock();
         st.last_activity = Instant::now();
-        if idx >= st.total {
-            return;
-        }
         // Strike the cell off its lease (the lease may already be gone if
         // it expired and was re-issued — the late result still counts if
         // the cell is unsettled, the work is deterministic either way).
         let mut lease_empty = false;
         if let Some(lease) = st.leases.get_mut(&lease_id) {
-            lease.cells.retain(|c| c.idx != idx);
+            lease.cells.retain(|&(i, _)| i != idx);
             lease_empty = lease.cells.is_empty();
         }
         if lease_empty {
             st.leases.remove(&lease_id);
         }
-        if st.cell_done[idx] {
+        let outcome = match outcome {
+            CellOutcome::Value { value, status } => Ok((value, status)),
+            CellOutcome::Panic { cause } => Err(cause),
+        };
+        match st.book.settle(idx, attempt, outcome) {
             // A resent (unacked), chaos-duplicated, or expired-lease
             // result for a settled cell: dismiss it. The records that
             // rode along were already deduped by the content-addressed
             // merge, so nothing is double-counted downstream.
-            st.ledger.results_duplicate += 1;
-            return;
+            Settled::Duplicate => st.ledger.results_duplicate += 1,
+            Settled::Retry => st.ledger.cell_retries += 1,
+            Settled::Final { done } => on_cell(done, st.book.total()),
         }
-        match outcome {
-            CellOutcome::Value { value, status } => {
-                st.norm[idx] = value;
-                st.status[idx] = status;
-                st.cell_done[idx] = true;
-                st.settled += 1;
-            }
-            CellOutcome::Panic { cause } => {
-                if cell.attempt < self.cfg.policy.max_retries && !st.stop_issuing {
-                    st.ledger.cell_retries += 1;
-                    st.queue.push_back(QueuedCell {
-                        idx,
-                        attempt: cell.attempt + 1,
-                        issue: cell.issue,
-                    });
-                } else {
-                    self.fail_cell(&mut st, idx, cause, cell.attempt + 1);
-                    if !self.cfg.policy.keep_going {
-                        self.drain_queue_as_skipped(&mut st);
-                    }
-                }
-            }
-        }
-        let (settled, total) = (st.settled, st.total);
-        self.after_settle(&mut st);
-        drop(st);
-        on_cell(settled, total);
+        self.after_settle(&st);
     }
 
     /// Folds a worker's self-reported cumulative wire fault count into
     /// the ledger, crediting only what is new since its last claim.
     fn fold_worker_faults(&self, worker: &str, reported: u64) {
         let delta = {
-            let mut map =
-                self.fault_reports.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut map = self.fault_reports.lock().unwrap_or_else(PoisonError::into_inner);
             let prev = map.entry(worker.to_string()).or_insert(0);
             let delta = reported.saturating_sub(*prev);
             *prev = (*prev).max(reported);
@@ -429,12 +369,8 @@ impl Coord {
     }
 
     /// One worker connection, handled on its own thread.
-    fn handle_conn(
-        &self,
-        stream: TcpStream,
-        solo_lines: &[String],
-        on_cell: &(impl Fn(usize, usize) + Sync),
-    ) {
+    fn handle_conn(&self, stream: TcpStream, solo_lines: &[String], on_cell: OnCell<'_>) {
+        let n = self.spec.names.len();
         let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_millis(1000)));
@@ -472,7 +408,7 @@ impl Coord {
             };
             match frame {
                 Frame::Idle => {
-                    if self.lock().done {
+                    if self.lock().done() {
                         break;
                     }
                 }
@@ -502,7 +438,7 @@ impl Coord {
                                 );
                             }
                         }
-                        if st.done {
+                        if st.done() {
                             Msg::Done
                         } else {
                             match self.carve(&mut st, conn) {
@@ -521,8 +457,21 @@ impl Coord {
                     }
                 }
                 Frame::Msg(Msg::Result { lease, cell, outcome, records }) => {
+                    if cell.fg >= n || cell.bg >= n {
+                        // Not a cell of this campaign: the link is out of
+                        // step, so neither the value nor its records are
+                        // trusted. Dropping it requeues its leases.
+                        self.worker_fault(format!(
+                            "dropping connection after wire fault: result for cell \
+                             ({}, {}) outside the {n}-application campaign",
+                            cell.fg, cell.bg
+                        ));
+                        self.lock().ledger.wire_faults += 1;
+                        break;
+                    }
                     self.merge_wire_records(&records);
-                    self.settle_result(lease, cell, outcome, on_cell);
+                    let idx = cell.fg * n + cell.bg;
+                    self.settle_result(lease, idx, cell.attempt, outcome, on_cell);
                     if write_frame(&mut writer, &Msg::Ack).is_err() {
                         break;
                     }
@@ -546,7 +495,7 @@ impl Coord {
         let mut st = self.lock();
         let lost: Vec<u64> =
             st.leases.iter().filter(|(_, l)| l.conn == conn).map(|(id, _)| *id).collect();
-        if !lost.is_empty() && !st.done {
+        if !lost.is_empty() && !st.done() {
             self.worker_fault(format!(
                 "worker on connection {conn} died holding {} lease(s)",
                 lost.len()
@@ -554,14 +503,14 @@ impl Coord {
             st.ledger.worker_deaths += 1;
             for id in lost {
                 if let Some(lease) = st.leases.remove(&id) {
-                    self.requeue_lease(&mut st, lease);
+                    self.requeue_lease(&mut st, lease, on_cell);
                 }
             }
         }
     }
 
     /// Expires overdue leases; runs every 100 ms on its own thread.
-    fn expire_overdue(&self) {
+    fn expire_overdue(&self, on_cell: OnCell<'_>) {
         let mut st = self.lock();
         let now = Instant::now();
         let overdue: Vec<u64> = st
@@ -572,7 +521,7 @@ impl Coord {
             .collect();
         for id in overdue {
             if let Some(lease) = st.leases.remove(&id) {
-                self.requeue_lease(&mut st, lease);
+                self.requeue_lease(&mut st, lease, on_cell);
             }
         }
     }
@@ -698,61 +647,41 @@ pub fn run_campaign(
         }
     }
 
-    // --- Phase 2: build the cell queue, resolving cached cells locally.
+    // --- Phase 2: open the cell book, settling cached cells locally.
     let names: Vec<&str> = spec.names.iter().map(|s| s.as_str()).collect();
     let cells = Heatmap::pair_cells(names.len());
     let total = cells.len();
     let mut st = CoordState {
-        queue: VecDeque::with_capacity(total),
+        book: CellBook::new(total, cfg.policy),
+        issues: vec![0; total],
         leases: HashMap::new(),
-        norm: vec![f64::NAN; total],
-        status: vec![CellStatus::Failed; total],
-        cell_done: vec![false; total],
-        failures: (0..total).map(|_| None).collect(),
-        settled: 0,
-        total,
-        done: false,
-        stop_issuing: false,
+        aborted: false,
         next_lease: 1,
         ledger: FabricLedger::default(),
         last_activity: Instant::now(),
     };
     let pair_start = Instant::now();
-    for (idx, &(i, j)) in cells.iter().enumerate() {
-        let mut resolved = false;
-        if cfg.resolve_cached {
+    if cfg.resolve_cached {
+        for (idx, &(i, j)) in cells.iter().enumerate() {
             let keys = study.pair_keys(names[i], names[j], 0);
-            if !keys.is_empty() && keys.iter().all(|&k| store.contains(k)) {
-                let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    study.pair_attempt(names[i], names[j], 0)
-                }));
-                if let Ok(pair) = got {
-                    st.norm[idx] = pair.fg_slowdown;
-                    st.status[idx] = if pair.stalled {
-                        CellStatus::Stalled
-                    } else if pair.truncated {
-                        CellStatus::Truncated
-                    } else {
-                        CellStatus::Ok
-                    };
-                    st.cell_done[idx] = true;
-                    st.settled += 1;
-                    st.ledger.cells_cached += 1;
-                    resolved = true;
-                }
+            if keys.is_empty() || !keys.iter().all(|&k| store.contains(k)) {
+                continue;
+            }
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                study.pair_attempt(names[i], names[j], 0)
+            }));
+            if let Ok(pair) = got {
+                st.book.settle(idx, 0, Ok((pair.fg_slowdown, CellStatus::of(&pair))));
+                st.ledger.cells_cached += 1;
             }
         }
-        if !resolved {
-            st.queue.push_back(QueuedCell { idx, attempt: 0, issue: 0 });
-        }
     }
-    if st.settled > 0 {
-        on_cell(st.settled, total);
+    let cached = total - st.book.unsettled();
+    if cached > 0 {
+        on_cell(cached, total);
     }
-    let all_cached = st.settled == total;
-    st.done = all_cached;
 
-    let coord = Arc::new(Coord {
+    let coord = Coord {
         state: Mutex::new(st),
         cv: Condvar::new(),
         store: store.clone(),
@@ -763,10 +692,10 @@ pub fn run_campaign(
         merge_failed: Mutex::new(None),
         fault_reports: Mutex::new(HashMap::new()),
         last_fault: Mutex::new(None),
-    });
+    };
 
     let mut worker_dirs: Vec<PathBuf> = Vec::new();
-    if !all_cached {
+    if cached < total {
         serve(&coord, cfg, &solo_lines, &on_cell, &mut worker_dirs)?;
     }
     let pair_wall = pair_start.elapsed();
@@ -796,15 +725,14 @@ pub fn run_campaign(
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    let st = coord.lock();
-    let failures: Vec<CellFailure> = st.failures.iter().flatten().cloned().collect();
-    let heatmap = Heatmap::from_cells(
-        spec.names.clone(),
-        cells.iter().enumerate().map(|(idx, &(i, j))| (i, j, st.norm[idx], st.status[idx])),
-    );
+    let merge_failed = coord.merge_failed.lock().unwrap_or_else(PoisonError::into_inner).is_some();
+    let st = coord.state.into_inner().unwrap_or_else(PoisonError::into_inner);
     let ledger = st.ledger;
-    drop(st);
-    let merge_failed = coord.merge_failed.lock().unwrap_or_else(|p| p.into_inner()).is_some();
+    let n = names.len();
+    let (heatmap, failures) = Heatmap::from_cells(
+        spec.names.clone(),
+        st.book.results(|idx| format!("{}/{}", names[idx / n], names[idx % n])),
+    );
     let store_degraded = study.store_degraded() || merge_failed;
     if persistent {
         // Journal this run's ledger for whoever resumes or audits the
@@ -823,10 +751,10 @@ pub fn run_campaign(
 
 /// Phase 3: run the listener + local workers until every cell settles.
 fn serve(
-    coord: &Arc<Coord>,
+    coord: &Coord,
     cfg: &FabricConfig,
     solo_lines: &[String],
-    on_cell: &(impl Fn(usize, usize) + Sync),
+    on_cell: OnCell<'_>,
     worker_dirs: &mut Vec<PathBuf>,
 ) -> Result<(), String> {
     let listener =
@@ -841,7 +769,7 @@ fn serve(
         // scope so they are joined before serve() returns.
         scope.spawn(|| {
             while let Ok((stream, _)) = listener.accept() {
-                if coord.lock().done {
+                if coord.lock().done() {
                     // Poke connection or a late worker: greet it
                     // with done semantics via a normal handler —
                     // it will claim once and be dismissed.
@@ -854,10 +782,10 @@ fn serve(
         // Lease-expiry sweeper.
         scope.spawn(|| loop {
             std::thread::sleep(Duration::from_millis(100));
-            if coord.lock().done {
+            if coord.lock().done() {
                 break;
             }
-            coord.expire_overdue();
+            coord.expire_overdue(on_cell);
         });
 
         // Local worker processes.
@@ -897,12 +825,12 @@ fn serve(
         let respawn_budget = cfg.workers;
         let abort: Option<String> = loop {
             let mut st = coord.lock();
-            if st.done {
+            if st.done() {
                 break None;
             }
             if st.last_activity.elapsed() > cfg.stall_timeout {
-                let unsettled = st.total - st.settled;
-                st.done = true;
+                let unsettled = st.book.unsettled();
+                st.aborted = true;
                 break Some(format!(
                     "fabric stalled: {unsettled} cell(s) unsettled and no worker \
                      activity for {:?} (no workers connected, or all of them hung); \
@@ -915,7 +843,7 @@ fn serve(
                 coord
                     .cv
                     .wait_timeout(st, Duration::from_millis(250))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                    .unwrap_or_else(PoisonError::into_inner),
             );
             // Local pool upkeep, outside the state lock: exited children
             // stay in `children`, so `len - workers` is the respawn count
@@ -928,7 +856,7 @@ fn serve(
             let respawned_so_far = children.len() - cfg.workers;
             if dead > respawned_so_far
                 && respawned_so_far < respawn_budget
-                && !coord.lock().done
+                && !coord.lock().done()
             {
                 spawn_worker(&mut children, worker_dirs)?;
                 coord.lock().ledger.respawns += 1;

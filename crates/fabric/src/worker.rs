@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cochar_colocation::sweep::affinity;
+use cochar_colocation::sweep::{affinity, panic_message};
 use cochar_colocation::{CellStatus, Study};
 use cochar_store::journal::{parse_record, render_record};
 use cochar_store::{RunKey, RunStore};
@@ -227,16 +227,6 @@ fn recv(reader: &mut FrameReader<TcpStream>, deadline: Duration, wire_faults: &m
 fn send_to(writer: &SharedWriter, msg: &Msg) -> bool {
     let mut w = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     write_frame(&mut *w, msg).is_ok()
-}
-
-fn panic_cause(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 /// Journal lines for every store record not yet shipped to the
@@ -577,18 +567,12 @@ fn session_loop(
                     let outcome = match computed {
                         Ok(pair) => {
                             summary.cells += 1;
-                            let status = if pair.stalled {
-                                CellStatus::Stalled
-                            } else if pair.truncated {
-                                CellStatus::Truncated
-                            } else {
-                                CellStatus::Ok
-                            };
+                            let status = CellStatus::of(&pair);
                             CellOutcome::Value { value: pair.fg_slowdown, status }
                         }
                         Err(e) => {
                             summary.panics += 1;
-                            CellOutcome::Panic { cause: panic_cause(e.as_ref()) }
+                            CellOutcome::Panic { cause: panic_message(e) }
                         }
                     };
                     let records = new_records(store, sent);

@@ -167,6 +167,22 @@ fn exhausted_retries_leave_a_hole() {
     assert_eq!(f.attempts, 2, "max_retries 1 means exactly two attempts");
     let csv = outcome.heatmap.to_csv();
     assert!(csv.contains("NaN") || csv.contains("nan"), "hole in csv: {csv}");
+
+    // The single-process supervisor over the same chaos study records
+    // the identical failure: one scheduler decides both.
+    let ref_study =
+        spec.build_study(None).expect("spec builds").with_chaos_cell("swaptions", "stream", 5);
+    let names: Vec<&str> = spec.names.iter().map(|s| s.as_str()).collect();
+    let (ref_map, ref_failures) = Heatmap::compute_supervised(
+        &ref_study,
+        &names,
+        SweepPolicy { max_retries: 1, keep_going: true },
+        |_, _| {},
+    );
+    assert_eq!(ref_failures.len(), 1);
+    let r = &ref_failures[0];
+    assert_eq!((&f.spec, f.attempts, &f.cause, f.index), (&r.spec, r.attempts, &r.cause, r.index));
+    assert_eq!(csv, ref_map.to_csv());
 }
 
 #[test]
@@ -395,4 +411,64 @@ fn stall_error_names_the_last_worker_fault() {
     assert!(err.starts_with("fabric stalled:"), "unexpected error: {err}");
     let last = err.split("last worker error: ").nth(1).expect("stall error names the last fault");
     assert!(last.contains("wire fault"), "last fault is not the corrupt frame: {err}");
+}
+
+#[test]
+fn out_of_range_result_is_a_wire_fault() {
+    use cochar_fabric::wire::{write_frame, CellOutcome, Frame, FrameReader, Msg, WireCell};
+
+    let spec = tiny_spec();
+    let n = NAMES.len();
+    let (tx, rx) = mpsc::channel();
+    let cfg = FabricConfig { on_bound: Some(tx), ..FabricConfig::default() };
+    let study = spec.build_study(None).expect("spec builds");
+    let outcome = std::thread::scope(|scope| {
+        let coord = scope.spawn(|| run_campaign(&study, &spec, &cfg, |_, _| {}));
+        let addr = rx.recv_timeout(Duration::from_secs(30)).expect("bound");
+
+        // A raw client takes a lease, then answers for cell (0, n): one
+        // past the last background. Row-major, that index is cell (1, 0),
+        // which must not absorb the bogus value.
+        let stream = std::net::TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = FrameReader::new(stream);
+        let mut next_msg = move || loop {
+            match reader.next_frame() {
+                Ok(Frame::Msg(m)) => break Some(m),
+                Ok(Frame::Idle) => continue,
+                Ok(Frame::Eof) | Err(_) => break None,
+            }
+        };
+        let fp = match next_msg() {
+            Some(Msg::Hello { fp, .. }) => fp,
+            other => panic!("expected hello, got {other:?}"),
+        };
+        let claim = Msg::Claim { fp, worker: "off-by-one".into(), session: 0, faults: 0 };
+        write_frame(&mut writer, &claim).expect("claim");
+        let (lease, leased) = match next_msg() {
+            Some(Msg::Lease { id, cells, .. }) => (id, cells[0]),
+            other => panic!("expected a lease, got {other:?}"),
+        };
+        let bogus = Msg::Result {
+            lease,
+            cell: WireCell { fg: 0, bg: n, ..leased },
+            outcome: CellOutcome::Value { value: 9.99, status: Default::default() },
+            records: Vec::new(),
+        };
+        write_frame(&mut writer, &bogus).expect("result");
+        // Wait until the coordinator has dealt with the result (an ack,
+        // or the dropped connection) before any real worker starts.
+        let _ = next_msg();
+        drop((writer, next_msg));
+
+        let (report, reports) = mpsc::channel();
+        spawn_worker(WorkerConfig::new(&addr), Some(report));
+        let outcome = coord.join().expect("join").expect("campaign succeeds");
+        assert_workers_ok(&reports, 1);
+        outcome
+    });
+    assert!(outcome.failures.is_empty(), "failures: {:?}", outcome.failures);
+    assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec));
+    assert!(outcome.ledger.wire_faults >= 1, "ledger: {:?}", outcome.ledger);
 }
