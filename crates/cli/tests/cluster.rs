@@ -214,3 +214,48 @@ fn bad_inputs_are_reported_not_panics() {
     let e = stderr_of_failure(&["cluster", "meditate"]);
     assert!(e.contains("unknown cluster subcommand"), "{e}");
 }
+
+/// The last `store:` ledger line of a command's stdout, without the
+/// store directory it names.
+fn ledger(out: &str) -> &str {
+    let line = out.lines().rfind(|l| l.starts_with("store: ")).expect("no store ledger");
+    line.split(" resident in ").next().unwrap()
+}
+
+#[test]
+fn compare_simulates_each_run_once_and_counts_only_journal_hits() {
+    let dir =
+        std::env::temp_dir().join(format!("cochar-cluster-e2e-ledger-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let run = |tag: &str, extra: &[&str]| {
+        let json = dir.join(format!("{tag}.json"));
+        let mut args: Vec<&str> = "cluster compare swaptions blackscholes stream --work 0.2 \
+                                   --threads 2 --nodes 64 --jobs 1000 --seed 7"
+            .split_whitespace()
+            .collect();
+        args.extend(["--store", store, "--json", json.to_str().unwrap()]);
+        args.extend_from_slice(extra);
+        let out = stdout(&args);
+        (ledger(&out).to_string(), std::fs::read(&json).unwrap())
+    };
+
+    // The measured matrix and the predictor's training pairs share runs;
+    // a fresh store journals each of the 36 distinct runs once and has
+    // nothing to report as a hit.
+    let (fresh, report) = run("fresh", &[]);
+    assert_eq!(fresh, "store: 36 simulated, 0 cached (36");
+    // --no-cache reads nothing from the journal, yet still simulates each
+    // distinct run only once.
+    let (no_cache, no_cache_report) = run("no-cache", &["--no-cache"]);
+    assert_eq!(no_cache, "store: 36 simulated, 0 cached (36");
+    // A resumed run adopts each journaled run exactly once.
+    let (resumed, resumed_report) = run("resume", &["--resume"]);
+    assert_eq!(resumed, "store: 0 simulated, 36 cached (36");
+
+    assert_eq!(no_cache_report, report, "--no-cache changed the report");
+    assert_eq!(resumed_report, report, "--resume changed the report");
+    let _ = std::fs::remove_dir_all(&dir);
+}

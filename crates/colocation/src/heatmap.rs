@@ -122,8 +122,8 @@ impl Heatmap {
         policy: SweepPolicy,
         on_cell: impl Fn(usize, usize) + Sync,
     ) -> (Heatmap, Vec<CellFailure>) {
-        // Warm the solo cache sequentially (each entry is needed by a
-        // whole row and the cache lock serializes misses anyway). A solo
+        // Run the solos first, in order: each is needed by a whole row,
+        // and the row's cells then find it in the run table. A solo
         // that panics is caught and ignored here: the pair cells that
         // need it will fail individually and be reported with their own
         // cell labels.

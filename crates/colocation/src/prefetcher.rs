@@ -26,8 +26,8 @@ pub struct PrefetchSensitivity {
 /// the all-on and all-off endpoints as the paper does.
 pub fn sensitivity(study: &Study, name: &str) -> PrefetchSensitivity {
     // Derive studies at the two MSR endpoints; they share the registry,
-    // the persistent run store, and the run counters, so endpoint solos
-    // are cached across invocations like any other run.
+    // the run table, the persistent run store, and the run counters, so
+    // an endpoint solo the study already ran is not simulated again.
     let on = study.derive_with_msr(Msr::all_on());
     let off = study.derive_with_msr(Msr::all_off());
     let on_cycles = on.solo(name).elapsed_cycles;

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cochar_machine::{AppSpec, Machine, MachineConfig, Msr, Role, RunOutcome, StableHash, StableHasher};
 use cochar_store::{RunKey, RunStore, StoreError, SCHEMA_VERSION};
@@ -68,14 +68,22 @@ struct ChaosCell {
     succeed_from: u32,
 }
 
-/// Cumulative run counters for a study (shared with derived studies).
+/// Cumulative run counters for a study family (shared with derived
+/// studies). A repeat of a run already in the run table bumps neither.
 #[derive(Default)]
 struct RunCounters {
-    /// Fresh `Machine::run` invocations.
+    /// Fresh `Machine::run` invocations: once per distinct keyed run,
+    /// plus every run that cannot be keyed.
     simulated: AtomicU64,
-    /// Runs answered from the persistent store.
+    /// Keyed runs adopted from the persistent store's journal (once per
+    /// key).
     cached: AtomicU64,
 }
+
+/// Every keyed run a study family has resolved, by fingerprint. A key's
+/// slot is created on first request and filled exactly once, so a run
+/// that several threads ask for at the same time still simulates once.
+type RunTable = Mutex<HashMap<RunKey, Arc<OnceLock<Arc<RunOutcome>>>>>;
 
 /// A configured measurement campaign.
 pub struct Study {
@@ -85,7 +93,7 @@ pub struct Study {
     threads: usize,
     trials: u32,
     base_seed: u64,
-    solo_cache: Mutex<HashMap<(String, usize, u64), Arc<SoloResult>>>,
+    runs: Arc<RunTable>,
     store: Option<RunStore>,
     store_reads: bool,
     /// Latched once a store append fails persistently: the study keeps
@@ -108,7 +116,7 @@ impl Study {
             threads: 4,
             trials: 1,
             base_seed: 1,
-            solo_cache: Mutex::new(HashMap::new()),
+            runs: Arc::default(),
             store: None,
             store_reads: true,
             store_degraded: Arc::new(AtomicBool::new(false)),
@@ -117,10 +125,11 @@ impl Study {
         }
     }
 
-    /// A new study on the same machine, registry, protocol, store, and
-    /// run counters, with a different prefetcher MSR. Derived studies
-    /// (the MSR-endpoint comparisons of the prefetcher analysis) hit the
-    /// same persistent cache, so solo runs are shared across analyses.
+    /// A new study on the same machine, registry, protocol, run table,
+    /// store, and run counters, with a different prefetcher MSR. Derived
+    /// studies (the MSR-endpoint comparisons of the prefetcher analysis)
+    /// resolve runs through the same table, so a solo the parent study
+    /// already ran is never simulated again.
     pub fn derive_with_msr(&self, msr: Msr) -> Study {
         Study {
             cfg: self.cfg.clone(),
@@ -129,7 +138,7 @@ impl Study {
             threads: self.threads,
             trials: self.trials,
             base_seed: self.base_seed,
-            solo_cache: Mutex::new(HashMap::new()),
+            runs: Arc::clone(&self.runs),
             store: self.store.clone(),
             store_reads: self.store_reads,
             store_degraded: Arc::clone(&self.store_degraded),
@@ -173,7 +182,8 @@ impl Study {
     }
 
     /// Controls whether cached outcomes are *read* from the store
-    /// (default: true). With reads off, every run is simulated fresh but
+    /// (default: true). With reads off, nothing is adopted from the
+    /// journal: each distinct run simulates once in this process and is
     /// still journaled — `--no-cache` semantics.
     pub fn with_store_reads(mut self, reads: bool) -> Self {
         self.store_reads = reads;
@@ -204,7 +214,9 @@ impl Study {
     }
 
     /// Cumulative `(simulated, cached)` run counts across this study and
-    /// everything derived from it.
+    /// everything derived from it: runs simulated in this process, and
+    /// keyed runs adopted from the store's journal. Each keyed run counts
+    /// once, however often it is asked for.
     pub fn run_counts(&self) -> (u64, u64) {
         (
             self.counters.simulated.load(Ordering::Relaxed),
@@ -344,28 +356,34 @@ impl Study {
             .unwrap_or_default()
     }
 
-    /// Executes one run, consulting and feeding the persistent store.
+    /// Executes one run through the run table.
     ///
-    /// Each trial is keyed and journaled individually, so a killed sweep
-    /// loses at most the runs that were in flight, and a partial
-    /// `--trials N` campaign resumes per trial rather than per cell.
+    /// A keyed run resolves once per study family: from the table if it
+    /// is there, else adopted from the store (when reads are on), else
+    /// simulated and journaled. Each trial is keyed and journaled
+    /// individually, so a killed sweep loses at most the runs that were
+    /// in flight, and a partial `--trials N` campaign resumes per trial
+    /// rather than per cell. Runs that cannot be keyed always simulate.
     fn run_one(&self, apps: &[AppSpec]) -> Arc<RunOutcome> {
-        let key = self.store.as_ref().and_then(|_| self.run_key(apps));
-        if let (Some(store), Some(key)) = (self.store.as_ref(), key) {
-            if self.store_reads {
-                if let Some(hit) = store.get(key) {
-                    self.counters.cached.fetch_add(1, Ordering::Relaxed);
-                    return hit;
-                }
+        let Some(key) = self.run_key(apps) else {
+            self.counters.simulated.fetch_add(1, Ordering::Relaxed);
+            return Arc::new(self.machine().run(apps));
+        };
+        let slot =
+            Arc::clone(self.runs.lock().expect("run table poisoned").entry(key).or_default());
+        Arc::clone(slot.get_or_init(|| {
+            let hit = self.store.as_ref().filter(|_| self.store_reads).and_then(|s| s.get(key));
+            if let Some(hit) = hit {
+                self.counters.cached.fetch_add(1, Ordering::Relaxed);
+                return hit;
             }
             let outcome = Arc::new(self.machine().run(apps));
             self.counters.simulated.fetch_add(1, Ordering::Relaxed);
-            self.put_resilient(store, key, outcome.clone());
+            if let Some(store) = &self.store {
+                self.put_resilient(store, key, outcome.clone());
+            }
             outcome
-        } else {
-            self.counters.simulated.fetch_add(1, Ordering::Relaxed);
-            Arc::new(self.machine().run(apps))
-        }
+        }))
     }
 
     /// Journals an outcome, riding out transient IO errors and degrading
@@ -440,24 +458,18 @@ impl Study {
 
     /// Runs `name` alone with an explicit thread count (cached).
     pub fn solo_with_threads(&self, name: &str, threads: usize) -> Arc<SoloResult> {
-        let key = (name.to_string(), threads, self.msr.raw());
-        if let Some(hit) = self.solo_cache.lock().expect("solo cache poisoned").get(&key) {
-            return hit.clone();
-        }
         let spec = self.spec(name);
         let outcome = self.median_run(|seed| {
             vec![self.app_spec(spec, Role::Foreground, FG_BASE, seed, threads)]
         });
         let app = &outcome.apps[0];
-        let result = Arc::new(SoloResult {
+        Arc::new(SoloResult {
             name: name.to_string(),
             threads,
             elapsed_cycles: app.elapsed_cycles,
             profile: Profile::from_app(app, self.cfg.freq_ghz),
             outcome: outcome.clone(),
-        });
-        self.solo_cache.lock().expect("solo cache poisoned").insert(key, result.clone());
-        result
+        })
     }
 
     /// Co-runs foreground `fg` against looping background `bg`
@@ -543,7 +555,8 @@ mod tests {
         let s = study();
         let a = s.solo("blackscholes");
         let b = s.solo("blackscholes");
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a.outcome, &b.outcome), "the repeat reads the run table");
+        assert_eq!(s.run_counts().0, 1, "one simulation for two lookups");
         assert!(a.elapsed_cycles > 0);
     }
 
@@ -552,8 +565,32 @@ mod tests {
         let s = study();
         let t1 = s.solo_with_threads("blackscholes", 1);
         let t2 = s.solo_with_threads("blackscholes", 2);
-        assert!(!Arc::ptr_eq(&t1, &t2));
+        assert!(!Arc::ptr_eq(&t1.outcome, &t2.outcome));
         assert!(t2.elapsed_cycles < t1.elapsed_cycles, "2 threads should be faster");
+
+        // A derived study shares the table: its own MSR keys a distinct
+        // run, the parent's MSR hits the parent's entry.
+        let off = s.derive_with_msr(Msr::all_off()).solo_with_threads("blackscholes", 1);
+        assert!(!Arc::ptr_eq(&t1.outcome, &off.outcome));
+        let on = s.derive_with_msr(Msr::all_on()).solo_with_threads("blackscholes", 1);
+        assert!(Arc::ptr_eq(&t1.outcome, &on.outcome));
+        assert_eq!(s.run_counts(), (3, 0));
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_run_simulate_it_once() {
+        let s = study();
+        let start = std::sync::Barrier::new(4);
+        let solos: Vec<_> = std::thread::scope(|scope| {
+            let ask = || {
+                start.wait();
+                s.solo("stream")
+            };
+            let handles: Vec<_> = (0..4).map(|_| scope.spawn(ask)).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(solos.iter().all(|r| Arc::ptr_eq(&r.outcome, &solos[0].outcome)));
+        assert_eq!(s.run_counts(), (1, 0));
     }
 
     #[test]

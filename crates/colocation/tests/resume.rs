@@ -165,4 +165,15 @@ fn derived_msr_studies_share_the_store() {
     assert_eq!(again.run_counts().0, 0, "endpoint solos must be cached");
 
     std::fs::remove_dir_all(&dir).unwrap();
+
+    // Without a store the run table still spans derived studies: the
+    // all-on endpoint is the study's own solo, so only the off endpoint
+    // simulates.
+    let plain = study();
+    let _ = plain.solo("stream");
+    assert_eq!(plain.run_counts(), (1, 0));
+    let _ = cochar_colocation::prefetcher::sensitivity(&plain, "stream");
+    assert_eq!(plain.run_counts(), (2, 0), "only the off endpoint is new");
+    let _ = cochar_colocation::prefetcher::sensitivity(&plain, "stream");
+    assert_eq!(plain.run_counts(), (2, 0), "a repeat simulates nothing");
 }
