@@ -54,8 +54,9 @@ impl Default for SweepPolicy {
 
 /// One cell's state in a [`CellBook`].
 enum Slot<R> {
-    /// Queued or in flight.
-    Open,
+    /// Queued or in flight at this attempt; outcomes of any other attempt
+    /// are stale.
+    Open { attempt: u32 },
     /// Settled with a value.
     Done(R),
     /// Settled as a final failure or a fail-fast skip.
@@ -84,14 +85,16 @@ pub enum Settled {
 /// Only the book applies the [`SweepPolicy`]: a panic within budget is
 /// queued again with `attempt + 1`, any other outcome is final, and under
 /// fail-fast the first final failure skips every queued cell and stops
-/// further claims. A cell settles exactly once; late and duplicate
-/// outcomes are dismissed. Transports report lost claims through
+/// further claims. A cell settles exactly once, and only an outcome of
+/// its current attempt counts: late, duplicate, and stale outcomes are
+/// dismissed, so no cell runs more than `max_retries + 1` distinct
+/// attempts. Transports report lost claims through
 /// [`release`](CellBook::release) and give up on a cell through
 /// [`fail`](CellBook::fail).
 pub struct CellBook<R> {
     policy: SweepPolicy,
-    /// Claimable `(index, attempt)` pairs. Entries whose cell settled
-    /// while they waited are dropped by `claim`.
+    /// Claimable `(index, attempt)` pairs. Entries that went stale while
+    /// they waited (the cell settled or moved on) are dropped by `claim`.
     queue: VecDeque<(usize, u32)>,
     slots: Vec<Slot<R>>,
     /// Settled cells, skips included.
@@ -108,7 +111,7 @@ impl<R> CellBook<R> {
         CellBook {
             policy,
             queue: (0..total).map(|i| (i, 0)).collect(),
-            slots: (0..total).map(|_| Slot::Open).collect(),
+            slots: (0..total).map(|_| Slot::Open { attempt: 0 }).collect(),
             settled: 0,
             done: 0,
             stopped: false,
@@ -132,7 +135,13 @@ impl<R> CellBook<R> {
 
     /// True if cell `index` has settled (value, failure, or skip).
     pub fn is_settled(&self, index: usize) -> bool {
-        !matches!(self.slots[index], Slot::Open)
+        !matches!(self.slots[index], Slot::Open { .. })
+    }
+
+    /// True if `attempt` is cell `index`'s current attempt and the cell
+    /// has not settled: the only claim whose outcome or loss still counts.
+    pub fn is_current(&self, index: usize, attempt: u32) -> bool {
+        matches!(self.slots[index], Slot::Open { attempt: a } if a == attempt)
     }
 
     /// The next cell to run, or `None` when nothing is claimable right
@@ -141,7 +150,7 @@ impl<R> CellBook<R> {
     /// empty, so no claim succeeds.
     pub fn claim(&mut self) -> Option<(usize, u32)> {
         while let Some((index, attempt)) = self.queue.pop_front() {
-            if !self.is_settled(index) {
+            if self.is_current(index, attempt) {
                 return Some((index, attempt));
             }
         }
@@ -149,14 +158,16 @@ impl<R> CellBook<R> {
     }
 
     /// Settles one attempt of cell `index`: `Ok` with its value, or `Err`
-    /// with the panic message.
+    /// with the panic message. An outcome for any attempt but the cell's
+    /// current one is a [`Settled::Duplicate`].
     pub fn settle(&mut self, index: usize, attempt: u32, outcome: Result<R, String>) -> Settled {
-        if self.is_settled(index) {
+        if !self.is_current(index, attempt) {
             return Settled::Duplicate;
         }
         match outcome {
             Ok(value) => self.finish(index, Slot::Done(value)),
             Err(_) if attempt < self.policy.max_retries && !self.stopped => {
+                self.slots[index] = Slot::Open { attempt: attempt + 1 };
                 self.queue.push_front((index, attempt + 1));
                 Settled::Retry
             }
@@ -183,11 +194,15 @@ impl<R> CellBook<R> {
 
     /// Hands back a claimed cell whose attempt produced no outcome (its
     /// lease was lost). It is queued again at the same attempt — or
-    /// skipped, if fail-fast has stopped the sweep meanwhile.
+    /// skipped, if fail-fast has stopped the sweep meanwhile. Releasing a
+    /// claim that is no longer [current](CellBook::is_current) is a no-op.
     pub fn release(&mut self, index: usize, attempt: u32) {
+        if !self.is_current(index, attempt) {
+            return;
+        }
         if self.stopped {
             self.skip(index);
-        } else if !self.is_settled(index) {
+        } else {
             self.queue.push_back((index, attempt));
         }
     }
@@ -203,7 +218,7 @@ impl<R> CellBook<R> {
                 Slot::Failed { cause, attempts } => {
                     Err(CellFailure { index, spec: label(index), cause, attempts })
                 }
-                Slot::Open => unreachable!("cell {index} never settled"),
+                Slot::Open { .. } => unreachable!("cell {index} never settled"),
             })
             .collect()
     }
@@ -646,28 +661,58 @@ mod tests {
         assert_eq!(book.unsettled(), 1);
     }
 
-    /// Drives one book through a random interleaving of claims and
-    /// settles from `lanes` concurrent claimants, checking the scheduler
-    /// contract at every step.
+    #[test]
+    fn stale_panic_outcomes_are_dismissed() {
+        let mut book: CellBook<()> =
+            CellBook::new(1, SweepPolicy { max_retries: 2, keep_going: true });
+        assert_eq!(book.claim(), Some((0, 0)));
+        assert_eq!(book.settle(0, 0, Err("boom".into())), Settled::Retry);
+        // A duplicated panic frame, or the late report of a lost lease.
+        assert_eq!(book.settle(0, 0, Err("boom".into())), Settled::Duplicate);
+        book.release(0, 0);
+        assert!(!book.is_current(0, 0) && book.is_current(0, 1));
+        assert_eq!(book.claim(), Some((0, 1)));
+        assert_eq!(book.claim(), None, "the retry is queued once");
+    }
+
+    /// Whether attempt `attempt` of cell `i` panics in [`drive_book`]: a
+    /// pure function of its inputs, like a reseeded simulation.
+    fn panics(seed: u64, i: usize, attempt: u32) -> bool {
+        let mut h = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^= u64::from(attempt).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 31)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (h ^ (h >> 29)).is_multiple_of(3)
+    }
+
+    /// Drives one book through a random interleaving from `lanes`
+    /// concurrent claimants, checking the scheduler contract at every
+    /// step. Besides claims and settles, a claim can be lost (released)
+    /// and still report late, and any outcome already delivered can be
+    /// delivered again, as a duplicated frame or an unacked resend would.
     fn drive_book(seed: u64, total: usize, lanes: usize, policy: SweepPolicy) {
         let mut rng = proptest::TestRng::from_label(&format!("{seed}"));
         let mut book = CellBook::new(total, policy);
         let mut in_flight: Vec<(usize, u32)> = Vec::new();
-        let mut claims = vec![0u32; total];
+        // Claims released as lost whose worker may still report.
+        let mut lost: Vec<(usize, u32)> = Vec::new();
+        // Outcomes delivered so far, for replays.
+        let mut delivered: Vec<(usize, u32)> = Vec::new();
+        // Each cell's current attempt, as the book should see it.
+        let mut current = vec![0u32; total];
         let mut finals = vec![0u32; total];
         let mut ticks = 0;
         let mut stopped = false;
         while !book.is_done() {
-            let can_claim = in_flight.len() < lanes;
-            if can_claim && (in_flight.is_empty() || rng.below(2) == 0) {
+            let roll = rng.below(8);
+            if in_flight.len() < lanes && (in_flight.is_empty() || roll < 3) {
                 match book.claim() {
                     Some((i, attempt)) => {
                         assert!(!stopped, "cell {i} claimed after fail-fast stopped the sweep");
-                        assert_eq!(attempt, claims[i], "attempts count up from 0");
-                        claims[i] += 1;
-                        assert!(claims[i] <= policy.max_retries + 1);
+                        assert_eq!(attempt, current[i], "only the current attempt is claimed");
+                        assert!(!in_flight.contains(&(i, attempt)), "claim handed out twice");
                         in_flight.push((i, attempt));
                     }
+                    // Lost claims were requeued, so they count as claimable.
                     None => assert!(
                         !in_flight.is_empty(),
                         "nothing claimable and nothing in flight, yet not done"
@@ -675,37 +720,61 @@ mod tests {
                 }
                 continue;
             }
-            let (i, attempt) = in_flight.swap_remove(rng.below(in_flight.len() as u64) as usize);
-            let outcome = if rng.below(3) == 0 { Err(format!("panic {attempt}")) } else { Ok(i) };
-            let failed = outcome.is_err();
+            let (i, attempt) = match roll {
+                3 if !in_flight.is_empty() => {
+                    let claim = in_flight.swap_remove(rng.below(in_flight.len() as u64) as usize);
+                    book.release(claim.0, claim.1);
+                    lost.push(claim);
+                    continue;
+                }
+                4 if !lost.is_empty() => lost.swap_remove(rng.below(lost.len() as u64) as usize),
+                5 if !delivered.is_empty() => {
+                    let (i, attempt) = delivered[rng.below(delivered.len() as u64) as usize];
+                    assert!(!book.is_current(i, attempt), "a delivered outcome stays stale");
+                    book.release(i, attempt);
+                    (i, attempt)
+                }
+                _ if !in_flight.is_empty() => {
+                    in_flight.swap_remove(rng.below(in_flight.len() as u64) as usize)
+                }
+                _ => lost.swap_remove(rng.below(lost.len() as u64) as usize),
+            };
+            let counts = book.is_current(i, attempt);
+            let failed = panics(seed, i, attempt);
+            let outcome = if failed { Err(format!("panic {attempt}")) } else { Ok(i) };
+            delivered.push((i, attempt));
             match book.settle(i, attempt, outcome) {
                 Settled::Final { done } => {
+                    assert!(counts, "cell {i} settled by stale attempt {attempt}");
                     finals[i] += 1;
                     ticks += 1;
                     assert_eq!(done, ticks, "ticks count settles one by one");
                     stopped |= failed && !policy.keep_going;
                 }
-                Settled::Retry => assert!(failed && attempt < policy.max_retries),
-                Settled::Duplicate => panic!("cell {i} was claimed once per attempt"),
+                Settled::Retry => {
+                    assert!(counts && failed && attempt < policy.max_retries);
+                    current[i] += 1;
+                }
+                Settled::Duplicate => assert!(!counts, "cell {i} attempt {attempt} dismissed"),
             }
         }
         let results = book.results(|i| format!("cell {i}"));
         assert_eq!(results.len(), total);
         let mut non_skip = 0;
         for (i, r) in results.iter().enumerate() {
+            assert!(current[i] <= policy.max_retries, "cell {i} ran too many attempts");
             match r {
                 Ok(v) => assert_eq!(*v, i, "results come back in input order"),
                 Err(f) => {
                     assert_eq!(f.index, i);
                     assert_eq!(f.spec, format!("cell {i}"));
-                    assert!(f.attempts <= policy.max_retries + 1);
                     if f.attempts == 0 {
                         assert_eq!(f.cause, "skipped (fail-fast)");
                         assert!(!policy.keep_going, "keep-going never skips");
                         assert_eq!(finals[i], 0);
                         continue;
                     }
-                    assert_eq!(f.attempts, claims[i]);
+                    assert_eq!(f.attempts, current[i] + 1);
                 }
             }
             assert_eq!(finals[i], 1, "cell {i} settles exactly once");

@@ -59,17 +59,6 @@ pub struct WirePlan {
 }
 
 impl WirePlan {
-    /// An empty plan (no faults).
-    pub fn new() -> WirePlan {
-        WirePlan::default()
-    }
-
-    /// Schedules `fault` for the `nth` outbound frame (builder-style).
-    pub fn at(mut self, nth: u64, fault: WireFault) -> WirePlan {
-        self.schedule.insert(nth, fault);
-        self
-    }
-
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.schedule.is_empty()
@@ -82,7 +71,7 @@ impl WirePlan {
 
     /// Parses the `COCHAR_CHAOS_WIRE` grammar (see the module docs).
     pub fn parse(text: &str) -> Result<WirePlan, String> {
-        let mut plan = WirePlan::new();
+        let mut plan = WirePlan::default();
         for part in text.split(',') {
             let part = part.trim();
             if part.is_empty() {
@@ -184,41 +173,38 @@ impl Write for ChaosStream {
         }
         let (nth, fault) =
             self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).next_fault();
-        match fault {
-            None => {
-                self.inner.write_all(&frame)?;
-                self.inner.flush()
-            }
+        let copies = match fault {
+            None => 1,
             Some(WireFault::Drop) => {
                 eprintln!("chaos: wire dropping frame {nth}");
-                Ok(())
+                0
             }
             Some(WireFault::Delay(ms)) => {
                 eprintln!("chaos: wire delaying frame {nth} by {ms}ms");
                 std::thread::sleep(Duration::from_millis(ms));
-                self.inner.write_all(&frame)?;
-                self.inner.flush()
+                1
             }
             Some(WireFault::Dup) => {
                 eprintln!("chaos: wire duplicating frame {nth}");
-                self.inner.write_all(&frame)?;
-                self.inner.write_all(&frame)?;
-                self.inner.flush()
+                2
             }
             Some(WireFault::Flip(bit)) => {
                 let pos = (bit as usize) % (frame.len() * 8);
                 eprintln!("chaos: wire flipping bit {pos} of frame {nth}");
                 frame[pos / 8] ^= 1 << (pos % 8);
-                self.inner.write_all(&frame)?;
-                self.inner.flush()
+                1
             }
             Some(WireFault::Close) => {
                 eprintln!("chaos: wire closing connection instead of frame {nth}");
                 self.closed = true;
                 let _ = self.inner.shutdown(std::net::Shutdown::Both);
-                Err(injected_close())
+                return Err(injected_close());
             }
+        };
+        for _ in 0..copies {
+            self.inner.write_all(&frame)?;
         }
+        self.inner.flush()
     }
 }
 

@@ -1,55 +1,67 @@
-//! The campaign coordinator: the networked transport over the shared
-//! cell scheduler.
+//! The campaign coordinator: a thin TCP driver around the lease machine.
 //!
-//! One coordinator owns one campaign: the row-major list of heatmap pair
-//! cells over the campaign's names, scheduled by the same
-//! [`CellBook`] that runs a single-process `heatmap`. The book decides
-//! every retry, final [`cochar_colocation::CellFailure`], and fail-fast
-//! skip; this module only moves its claims over TCP. Claims are handed
-//! to workers in *leases* (small batches with a deadline), results stream
-//! back one cell at a time and are settled into the book, and the
-//! coordinator is the only writer of campaign state — workers are
-//! stateless cell evaluators that never retry on their own, so no cell
-//! ever simulates more than `max_retries + 1` attempts campaign-wide.
+//! Every campaign decision is made by the pure [`crate::lease`] machine,
+//! which schedules the campaign's row-major pair cells with the same
+//! [`cochar_colocation::CellBook`] that runs a single-process `heatmap`.
+//! Workers are stateless cell evaluators that never retry on their own,
+//! so no cell runs more than `max_retries + 1` attempts campaign-wide.
+//! The driver turns sockets and time into events and carries out the
+//! machine's actions:
 //!
-//! What belongs to the transport alone is delivery: a *worker* that dies
-//! (socket EOF) or goes silent (lease deadline passes without a
-//! heartbeat) has its outstanding claims released back to the book; a
-//! cell whose lease is lost [`FabricConfig::max_issues`] times is failed
-//! with a delivery error instead of cycling forever. A result naming a
-//! cell outside the campaign is a wire fault that drops its connection.
+//! | event | what the machine does |
+//! |---|---|
+//! | `claim` | answer a foreign fingerprint with `done`; fold the worker's fault count (a high-water mark per worker id); count a first claim as a worker or a reconnect; reply `lease`, `wait`, or `done` |
+//! | `result` | drop the connection if the cell is outside the campaign; strike the cell off its lease; settle it in the book (a stale or repeated attempt is a duplicate); reply `ack` |
+//! | `heartbeat` | push the lease's deadline `lease_timeout` past now |
+//! | `disconnect` | log the fault that ended the connection; release its leases |
+//! | `merged` | count the records merged; log refused records and the first store error |
+//! | `tick` | release overdue leases; abort when no worker was active for `stall_timeout` |
 //!
-//! Results are merged into the canonical store twice over: journal lines
-//! riding on each `result` frame are verified and merged as they arrive,
-//! and local workers' journal files are merged again at teardown (caching
-//! whatever a killed worker computed but never reported). Both merges are
-//! pure dedup by run fingerprint.
+//! | action | what the driver does |
+//! |---|---|
+//! | reply | writes `lease`/`wait`/`done`/`ack` to the event's connection (`done` ends it) |
+//! | drop | closes the event's connection with its fault |
+//! | progress | ticks `on_cell(settled, total)` |
+//! | abort | ends the campaign with the stall error, naming the last worker fault |
 //!
-//! The coordinator itself is recoverable: a store-backed campaign writes
-//! `campaign.json` before issuing any cell and appends its ledger to
+//! A released lease hands its live claims back to the book at the same
+//! attempt; a cell whose lease is lost more than five times fails with a
+//! delivery error instead of cycling forever.
+//!
+//! The driver is an accept loop, one thread per connection — which
+//! writes `hello`, turns frames into events, merges a result's journal
+//! records before the result settles (a progress tick marks durable
+//! progress), and writes its own replies, so a worker that stops reading
+//! a megabyte `hello` blocks no one else — and the main thread, which
+//! spawns and respawns local workers and sends `tick` every 100 ms. They share one `Mutex` around the machine and one
+//! condvar that wakes the main thread when the campaign is done.
+//! Teardown merges local workers' journal files too, caching whatever a
+//! killed worker computed but never reported; merges are dedup by run
+//! fingerprint, so nothing is ever double-merged.
+//!
+//! A store-backed campaign is recoverable: it writes `campaign.json`
+//! before issuing any cell and appends its ledger to
 //! `fabric.ledger.jsonl` on completion (see [`crate::recover`]), so a
-//! SIGKILLed coordinator can be rerun with [`FabricConfig::resume`] — the
-//! cached-cell resolution pass re-adopts every cell whose runs already
-//! landed in the journal, and only the missing ones are re-issued.
-//! Duplicate results (a reconnecting worker resending an unacked result,
-//! or a chaos-duplicated frame) are dismissed by the book and counted in
-//! [`FabricLedger::results_duplicate`]; the record merge underneath is
-//! content-addressed dedup either way, so nothing is ever double-merged.
+//! SIGKILLed coordinator can be rerun with [`FabricConfig::resume`],
+//! which re-adopts every cell whose runs already landed in the journal.
 
-use std::collections::HashMap;
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use cochar_colocation::{CellBook, CellFailure, CellStatus, Heatmap, Settled, Study, SweepPolicy};
+use cochar_colocation::{CellFailure, CellStatus, Heatmap, Study, SweepPolicy};
 use cochar_store::journal::{parse_record, render_record};
 use cochar_store::RunStore;
 
+use crate::lease::{Action, Conn, Event, Machine};
 use crate::recover::{self, ResumePrior};
-use crate::wire::{write_frame, CellOutcome, Frame, FrameReader, Msg, WireCell, WireError};
+use crate::wire::{write_frame, Frame, FrameReader, Msg, WireError};
 use crate::CampaignSpec;
+
+/// How often the main thread sends `tick`.
+const TICK: Duration = Duration::from_millis(100);
 
 /// How a local worker process is launched: the executable plus the
 /// arguments that put it in worker mode (the CLI passes its own binary
@@ -77,8 +89,6 @@ pub struct FabricConfig {
     /// Retry policy for panicking cells (same semantics as the
     /// single-process supervisor).
     pub policy: SweepPolicy,
-    /// Give up on a cell after losing this many leases for it.
-    pub max_issues: u32,
     /// How to launch local workers (required when `workers > 0`).
     pub worker_cmd: Option<WorkerCmd>,
     /// Resolve cells whose runs are already in the store locally (cache
@@ -106,7 +116,6 @@ impl Default for FabricConfig {
             lease_cells: 1,
             lease_timeout: Duration::from_secs(30),
             policy: SweepPolicy::default(),
-            max_issues: 5,
             worker_cmd: None,
             resolve_cached: true,
             stall_timeout: Duration::from_secs(300),
@@ -168,374 +177,121 @@ pub struct FabricOutcome {
     pub resumed: Option<ResumePrior>,
 }
 
-struct LeaseRec {
-    conn: u64,
-    deadline: Instant,
-    /// The book's `(index, attempt)` claims this lease carries.
-    cells: Vec<(usize, u32)>,
-}
-
-struct CoordState {
-    book: CellBook<(f64, CellStatus)>,
-    /// Leases lost so far, per cell (the `max_issues` budget).
-    issues: Vec<u32>,
-    leases: HashMap<u64, LeaseRec>,
-    /// The stall watchdog gave up on the campaign.
-    aborted: bool,
-    next_lease: u64,
-    ledger: FabricLedger,
-    last_activity: Instant,
-}
-
-impl CoordState {
-    fn done(&self) -> bool {
-        self.aborted || self.book.is_done()
-    }
-}
-
 /// The pair-cell progress callback, `on_cell(settled, total)`.
 type OnCell<'a> = &'a (dyn Fn(usize, usize) + Sync);
 
-struct Coord {
-    state: Mutex<CoordState>,
-    cv: Condvar,
-    store: RunStore,
-    spec: CampaignSpec,
-    fp: u64,
-    cfg: FabricConfig,
-    next_conn: AtomicU64,
-    merge_failed: Mutex<Option<String>>,
-    /// High-water mark of each worker's self-reported wire fault count
-    /// (by label), so re-claims fold only the delta into the ledger.
-    fault_reports: Mutex<HashMap<String, u64>>,
-    /// The last worker fault logged, named by the stall error.
-    last_fault: Mutex<Option<String>>,
+/// What every driver thread shares: the machine, and the clock it runs on.
+struct Driver<'a> {
+    machine: Mutex<Machine>,
+    /// Signalled when the campaign is done.
+    done: Condvar,
+    /// Time zero of the machine's clock.
+    epoch: Instant,
+    on_cell: OnCell<'a>,
+    store: &'a RunStore,
 }
 
-impl Coord {
-    fn lock(&self) -> std::sync::MutexGuard<'_, CoordState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+impl Driver<'_> {
+    fn lock(&self) -> MutexGuard<'_, Machine> {
+        self.machine.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Logs a worker fault (wire fault, read error, worker death, or
-    /// dropped record) and remembers it as the latest one.
-    fn worker_fault(&self, fault: String) {
-        eprintln!("fabric: {fault}");
-        *self.last_fault.lock().unwrap_or_else(PoisonError::into_inner) = Some(fault);
-    }
-
-    /// The latest worker fault, for the stall error.
-    fn describe_last_fault(&self) -> String {
-        let last = self.last_fault.lock().unwrap_or_else(PoisonError::into_inner);
-        last.clone().unwrap_or_else(|| "none seen".to_string())
-    }
-
-    /// Hands a lost lease's unsettled claims back to the book (worker
-    /// death or deadline expiry), failing cells past the issue budget.
-    fn requeue_lease(&self, st: &mut CoordState, lease: LeaseRec, on_cell: OnCell<'_>) {
-        st.ledger.leases_reissued += 1;
-        for (idx, attempt) in lease.cells {
-            if st.book.is_settled(idx) {
-                continue;
+    /// Applies one event and ticks its progress (under the lock, so ticks
+    /// stay in order); returns the actions left for the caller.
+    fn step(&self, event: Event) -> Vec<Action> {
+        let mut machine = self.lock();
+        let mut actions = machine.on(event, self.epoch.elapsed());
+        actions.retain(|action| match *action {
+            Action::Progress { settled, total } => {
+                (self.on_cell)(settled, total);
+                false
             }
-            st.issues[idx] += 1;
-            let issue = st.issues[idx];
-            if issue > self.cfg.max_issues {
-                let cause = format!("lease lost {issue} times without a result (workers dying?)");
-                if let Settled::Final { done } = st.book.fail(idx, cause, attempt) {
-                    on_cell(done, st.book.total());
-                }
-            } else {
-                st.book.release(idx, attempt);
-            }
+            _ => true,
+        });
+        if machine.done() {
+            self.done.notify_all();
         }
-        self.after_settle(st);
+        actions
     }
 
-    fn after_settle(&self, st: &CoordState) {
-        if st.done() {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Carves the next lease out of the book's claims for `conn`, if
-    /// any work is claimable.
-    fn carve(&self, st: &mut CoordState, conn: u64) -> Option<(u64, Vec<WireCell>)> {
-        let cells: Vec<(usize, u32)> =
-            std::iter::from_fn(|| st.book.claim()).take(self.cfg.lease_cells.max(1)).collect();
-        if cells.is_empty() {
-            return None;
-        }
-        let n = self.spec.names.len();
-        let wire: Vec<WireCell> = cells
-            .iter()
-            .map(|&(idx, attempt)| WireCell {
-                fg: idx / n,
-                bg: idx % n,
-                attempt,
-                issue: st.issues[idx],
-            })
-            .collect();
-        let id = st.next_lease;
-        st.next_lease += 1;
-        st.leases.insert(
-            id,
-            LeaseRec { conn, deadline: Instant::now() + self.cfg.lease_timeout, cells },
-        );
-        st.ledger.leases_issued += 1;
-        Some((id, wire))
-    }
-
-    /// Merges journal lines that rode in on a result frame.
-    fn merge_wire_records(&self, records: &[String]) {
-        let mut parsed = Vec::with_capacity(records.len());
-        for line in records {
-            match parse_record(line) {
-                Ok((key, outcome)) => parsed.push((key, Arc::new(outcome))),
-                Err(e) => self.worker_fault(format!("dropping unverifiable worker record: {e}")),
-            }
-        }
-        match self.store.merge_records(parsed) {
-            Ok(report) => {
-                let mut st = self.lock();
-                st.ledger.records_merged += report.added;
-                st.ledger.records_duplicate += report.duplicates;
-            }
-            Err(e) => {
-                let mut failed = self.merge_failed.lock().unwrap_or_else(|p| p.into_inner());
-                if failed.is_none() {
-                    eprintln!(
-                        "warning: fabric could not persist worker records ({e}); \
-                         results are unaffected, but this campaign will not be resumable"
-                    );
-                    *failed = Some(e.to_string());
-                }
-            }
-        }
-    }
-
-    /// Settles one worker result for cell `idx` into the book; `on_cell`
-    /// ticks settled progress.
-    fn settle_result(
-        &self,
-        lease_id: u64,
-        idx: usize,
-        attempt: u32,
-        outcome: CellOutcome,
-        on_cell: OnCell<'_>,
-    ) {
-        let mut st = self.lock();
-        st.last_activity = Instant::now();
-        // Strike the cell off its lease (the lease may already be gone if
-        // it expired and was re-issued — the late result still counts if
-        // the cell is unsettled, the work is deterministic either way).
-        let mut lease_empty = false;
-        if let Some(lease) = st.leases.get_mut(&lease_id) {
-            lease.cells.retain(|&(i, _)| i != idx);
-            lease_empty = lease.cells.is_empty();
-        }
-        if lease_empty {
-            st.leases.remove(&lease_id);
-        }
-        let outcome = match outcome {
-            CellOutcome::Value { value, status } => Ok((value, status)),
-            CellOutcome::Panic { cause } => Err(cause),
-        };
-        match st.book.settle(idx, attempt, outcome) {
-            // A resent (unacked), chaos-duplicated, or expired-lease
-            // result for a settled cell: dismiss it. The records that
-            // rode along were already deduped by the content-addressed
-            // merge, so nothing is double-counted downstream.
-            Settled::Duplicate => st.ledger.results_duplicate += 1,
-            Settled::Retry => st.ledger.cell_retries += 1,
-            Settled::Final { done } => on_cell(done, st.book.total()),
-        }
-        self.after_settle(&st);
-    }
-
-    /// Folds a worker's self-reported cumulative wire fault count into
-    /// the ledger, crediting only what is new since its last claim.
-    fn fold_worker_faults(&self, worker: &str, reported: u64) {
-        let delta = {
-            let mut map = self.fault_reports.lock().unwrap_or_else(PoisonError::into_inner);
-            let prev = map.entry(worker.to_string()).or_insert(0);
-            let delta = reported.saturating_sub(*prev);
-            *prev = (*prev).max(reported);
-            delta
-        };
-        if delta > 0 {
-            self.lock().ledger.wire_faults += delta;
-        }
-    }
-
-    /// One worker connection, handled on its own thread.
-    fn handle_conn(&self, stream: TcpStream, solo_lines: &[String], on_cell: OnCell<'_>) {
-        let n = self.spec.names.len();
-        let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
+    /// One worker connection, on its own thread: `hello`, then frames in
+    /// and replies out until it ends, then its `disconnect`.
+    fn serve_conn(&self, conn: Conn, stream: TcpStream, hello: &[u8]) {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_millis(1000)));
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
+        let Ok(mut writer) = stream.try_clone() else { return };
+        let cause = match writer.write_all(hello) {
+            Ok(()) => self.converse(conn, FrameReader::new(stream), &mut writer),
+            Err(_) => None,
         };
-        let hello = Msg::Hello {
-            fp: self.fp,
-            lease_ms: self.cfg.lease_timeout.as_millis() as u64,
-            campaign: self.spec.clone(),
-            solo: solo_lines.to_vec(),
-        };
-        if write_frame(&mut writer, &hello).is_err() {
-            return;
-        }
-        let mut reader = FrameReader::new(stream);
-        let mut claimed = false;
-        loop {
-            let frame = match reader.next_frame() {
-                Ok(frame) => frame,
-                Err(WireError::Protocol(e)) => {
-                    // Corrupt or desynced bytes: this link cannot be
-                    // trusted any further. Drop it — the tail below
-                    // requeues whatever it held, and the worker side
-                    // reconnects on its own.
-                    self.worker_fault(format!("dropping connection after wire fault: {e}"));
-                    self.lock().ledger.wire_faults += 1;
-                    break;
-                }
-                Err(WireError::Io(e)) => {
-                    self.worker_fault(format!("connection read failed: {e}"));
-                    break;
-                }
-            };
-            match frame {
-                Frame::Idle => {
-                    if self.lock().done() {
-                        break;
-                    }
-                }
-                Frame::Eof => break,
-                Frame::Msg(Msg::Claim { fp, worker, session, faults }) => {
-                    if fp != self.fp {
-                        eprintln!(
-                            "fabric: worker {worker:?} echoed fingerprint {fp:016x}, \
-                             campaign is {:016x}; dismissing it",
-                            self.fp
-                        );
-                        let _ = write_frame(&mut writer, &Msg::Done);
-                        break;
-                    }
-                    self.fold_worker_faults(&worker, faults);
-                    let reply = {
-                        let mut st = self.lock();
-                        st.last_activity = Instant::now();
-                        if !claimed {
-                            claimed = true;
-                            if session == 0 {
-                                st.ledger.workers += 1;
-                            } else {
-                                st.ledger.reconnects += 1;
-                                eprintln!(
-                                    "fabric: worker {worker:?} reconnected (session {session})"
-                                );
-                            }
-                        }
-                        if st.done() {
-                            Msg::Done
-                        } else {
-                            match self.carve(&mut st, conn) {
-                                Some((id, cells)) => Msg::Lease {
-                                    id,
-                                    deadline_ms: self.cfg.lease_timeout.as_millis() as u64,
-                                    cells,
-                                },
-                                None => Msg::Wait { ms: 100 },
-                            }
-                        }
-                    };
-                    let finished = matches!(reply, Msg::Done);
-                    if write_frame(&mut writer, &reply).is_err() || finished {
-                        break;
-                    }
-                }
-                Frame::Msg(Msg::Result { lease, cell, outcome, records }) => {
-                    if cell.fg >= n || cell.bg >= n {
-                        // Not a cell of this campaign: the link is out of
-                        // step, so neither the value nor its records are
-                        // trusted. Dropping it requeues its leases.
-                        self.worker_fault(format!(
-                            "dropping connection after wire fault: result for cell \
-                             ({}, {}) outside the {n}-application campaign",
-                            cell.fg, cell.bg
-                        ));
-                        self.lock().ledger.wire_faults += 1;
-                        break;
-                    }
-                    self.merge_wire_records(&records);
-                    let idx = cell.fg * n + cell.bg;
-                    self.settle_result(lease, idx, cell.attempt, outcome, on_cell);
-                    if write_frame(&mut writer, &Msg::Ack).is_err() {
-                        break;
-                    }
-                }
-                Frame::Msg(Msg::Heartbeat { lease }) => {
-                    let mut st = self.lock();
-                    st.last_activity = Instant::now();
-                    let deadline = Instant::now() + self.cfg.lease_timeout;
-                    if let Some(l) = st.leases.get_mut(&lease) {
-                        l.deadline = deadline;
-                    }
-                }
-                Frame::Msg(other) => {
-                    eprintln!("fabric: unexpected message from worker: {other:?}");
-                    break;
-                }
-            }
-        }
-        // Connection is gone (or being dismissed): anything it still
-        // holds goes back on the queue.
-        let mut st = self.lock();
-        let lost: Vec<u64> =
-            st.leases.iter().filter(|(_, l)| l.conn == conn).map(|(id, _)| *id).collect();
-        if !lost.is_empty() && !st.done() {
-            self.worker_fault(format!(
-                "worker on connection {conn} died holding {} lease(s)",
-                lost.len()
-            ));
-            st.ledger.worker_deaths += 1;
-            for id in lost {
-                if let Some(lease) = st.leases.remove(&id) {
-                    self.requeue_lease(&mut st, lease, on_cell);
-                }
-            }
-        }
+        self.step(Event::Disconnect { conn, cause });
     }
 
-    /// Expires overdue leases; runs every 100 ms on its own thread.
-    fn expire_overdue(&self, on_cell: OnCell<'_>) {
-        let mut st = self.lock();
-        let now = Instant::now();
-        let overdue: Vec<u64> = st
-            .leases
-            .iter()
-            .filter(|(_, l)| l.deadline < now)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in overdue {
-            if let Some(lease) = st.leases.remove(&id) {
-                self.requeue_lease(&mut st, lease, on_cell);
+    /// Reads frames until the connection ends; returns the read error
+    /// that ended it, if any.
+    fn converse(
+        &self,
+        conn: Conn,
+        mut reader: FrameReader<TcpStream>,
+        writer: &mut TcpStream,
+    ) -> Option<WireError> {
+        loop {
+            let msg = match reader.next_frame() {
+                Ok(Frame::Msg(msg)) => msg,
+                Ok(Frame::Idle) if !self.lock().done() => continue,
+                Ok(Frame::Idle | Frame::Eof) => return None,
+                Err(e) => return Some(e),
+            };
+            let actions = match msg {
+                Msg::Claim { fp, worker, id, session, faults } => {
+                    self.step(Event::Claim { conn, fp, worker, id, session, faults })
+                }
+                Msg::Heartbeat { lease } => self.step(Event::Heartbeat { lease }),
+                Msg::Result { lease, cell, outcome, records } => {
+                    // Records land before the cell settles, so a progress
+                    // tick marks durable progress; a result outside the
+                    // campaign merges nothing.
+                    if self.lock().index_of(cell).is_some() {
+                        self.step(merge(self.store, &records));
+                    }
+                    self.step(Event::Result { lease, cell, outcome })
+                }
+                other => {
+                    return Some(WireError::Protocol(format!(
+                        "unexpected message from a worker: {other:?}"
+                    )))
+                }
+            };
+            for action in actions {
+                match action {
+                    Action::Reply(msg) => {
+                        if write_frame(writer, &msg).is_err() || msg == Msg::Done {
+                            return None;
+                        }
+                    }
+                    Action::Drop { .. } => return None,
+                    Action::Progress { .. } | Action::Abort(_) => {}
+                }
             }
         }
     }
 }
 
-/// Counter for unique scratch directories within one process.
-static SCRATCH: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "cochar-fabric-{tag}-{}-{}",
-        std::process::id(),
-        SCRATCH.fetch_add(1, Ordering::Relaxed)
-    ))
+/// Verifies the journal lines riding on a result and merges them into
+/// the store.
+fn merge(store: &RunStore, records: &[String]) -> Event {
+    let mut parsed = Vec::with_capacity(records.len());
+    let mut rejected = Vec::new();
+    for line in records {
+        match parse_record(line) {
+            Ok((key, outcome)) => parsed.push((key, Arc::new(outcome))),
+            Err(e) => rejected.push(e.to_string()),
+        }
+    }
+    match store.merge_records(parsed) {
+        Ok(r) => Event::Merged { added: r.added, duplicates: r.duplicates, rejected, error: None },
+        Err(e) => Event::Merged { added: 0, duplicates: 0, rejected, error: Some(e.to_string()) },
+    }
 }
 
 /// Runs one sharded campaign to completion.
@@ -568,7 +324,7 @@ pub fn run_campaign(
     let (store, scratch_store) = match study.store() {
         Some(s) => (s.clone(), None),
         None => {
-            let dir = scratch_dir("store");
+            let dir = crate::scratch_dir("store");
             let s = RunStore::open(&dir).map_err(|e| e.to_string())?;
             (s, Some(dir))
         }
@@ -633,9 +389,8 @@ pub fn run_campaign(
     // answer them from cache instead of each re-simulating all N.
     let solo_start = Instant::now();
     for name in &spec.names {
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            study.solo(name.as_str())
-        }));
+        let _ =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| study.solo(name.as_str())));
     }
     let solo_wall = solo_start.elapsed();
     let mut solo_lines = Vec::new();
@@ -647,22 +402,13 @@ pub fn run_campaign(
         }
     }
 
-    // --- Phase 2: open the cell book, settling cached cells locally.
+    // --- Phase 2: open the lease machine, settling cached cells locally.
     let names: Vec<&str> = spec.names.iter().map(|s| s.as_str()).collect();
-    let cells = Heatmap::pair_cells(names.len());
-    let total = cells.len();
-    let mut st = CoordState {
-        book: CellBook::new(total, cfg.policy),
-        issues: vec![0; total],
-        leases: HashMap::new(),
-        aborted: false,
-        next_lease: 1,
-        ledger: FabricLedger::default(),
-        last_activity: Instant::now(),
-    };
+    let n = names.len();
+    let mut machine = Machine::new(n, spec.fingerprint(), cfg);
     let pair_start = Instant::now();
     if cfg.resolve_cached {
-        for (idx, &(i, j)) in cells.iter().enumerate() {
+        for (idx, &(i, j)) in Heatmap::pair_cells(n).iter().enumerate() {
             let keys = study.pair_keys(names[i], names[j], 0);
             if keys.is_empty() || !keys.iter().all(|&k| store.contains(k)) {
                 continue;
@@ -671,68 +417,60 @@ pub fn run_campaign(
                 study.pair_attempt(names[i], names[j], 0)
             }));
             if let Ok(pair) = got {
-                st.book.settle(idx, 0, Ok((pair.fg_slowdown, CellStatus::of(&pair))));
-                st.ledger.cells_cached += 1;
+                machine.adopt(idx, (pair.fg_slowdown, CellStatus::of(&pair)));
             }
         }
     }
-    let cached = total - st.book.unsettled();
+    let cached = machine.ledger().cells_cached as usize;
     if cached > 0 {
-        on_cell(cached, total);
+        on_cell(cached, n * n);
     }
 
-    let coord = Coord {
-        state: Mutex::new(st),
-        cv: Condvar::new(),
-        store: store.clone(),
-        spec: spec.clone(),
-        fp: spec.fingerprint(),
-        cfg: cfg.clone(),
-        next_conn: AtomicU64::new(1),
-        merge_failed: Mutex::new(None),
-        fault_reports: Mutex::new(HashMap::new()),
-        last_fault: Mutex::new(None),
+    // --- Phase 3: serve the uncached cells.
+    let driver = Driver {
+        machine: Mutex::new(machine),
+        done: Condvar::new(),
+        epoch: Instant::now(),
+        on_cell: &on_cell,
+        store: &store,
     };
-
     let mut worker_dirs: Vec<PathBuf> = Vec::new();
-    if cached < total {
-        serve(&coord, cfg, &solo_lines, &on_cell, &mut worker_dirs)?;
+    let mut respawns = 0;
+    if !driver.lock().done() {
+        // Rendered once: every connection is greeted with the same bytes.
+        let hello = Msg::Hello {
+            fp: spec.fingerprint(),
+            lease_ms: cfg.lease_timeout.as_millis() as u64,
+            campaign: spec.clone(),
+            solo: solo_lines,
+        };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &hello).map_err(|e| e.to_string())?;
+        respawns = serve(&driver, cfg, &frame, &mut worker_dirs)?;
     }
     let pair_wall = pair_start.elapsed();
 
     // --- Phase 4: merge local worker journals (catches anything a killed
     // worker computed but never reported) and clean up scratch space.
-    {
-        let mut merged = (0u64, 0u64);
-        for dir in &worker_dirs {
-            let path = dir.join(cochar_store::journal::JOURNAL_FILE);
-            if !path.exists() {
-                continue;
-            }
-            match store.merge_journal(&path) {
-                Ok((report, _)) => {
-                    merged.0 += report.added;
-                    merged.1 += report.duplicates;
-                }
-                Err(e) => eprintln!("warning: merging {} failed: {e}", path.display()),
-            }
-        }
-        let mut st = coord.lock();
-        st.ledger.records_merged += merged.0;
-        st.ledger.records_duplicate += merged.1;
-    }
+    let machine = driver.machine.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let merge_failed = machine.store_failed();
+    let mut ledger = *machine.ledger();
+    let results = machine.results(|idx| format!("{}/{}", names[idx / n], names[idx % n]));
+    ledger.respawns = respawns;
     for dir in &worker_dirs {
+        // A worker that never journaled anything merges as empty.
+        let path = dir.join(cochar_store::journal::JOURNAL_FILE);
+        match store.merge_journal(&path) {
+            Ok((report, _)) => {
+                ledger.records_merged += report.added;
+                ledger.records_duplicate += report.duplicates;
+            }
+            Err(e) => eprintln!("warning: merging {} failed: {e}", path.display()),
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    let merge_failed = coord.merge_failed.lock().unwrap_or_else(PoisonError::into_inner).is_some();
-    let st = coord.state.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let ledger = st.ledger;
-    let n = names.len();
-    let (heatmap, failures) = Heatmap::from_cells(
-        spec.names.clone(),
-        st.book.results(|idx| format!("{}/{}", names[idx / n], names[idx % n])),
-    );
+    let (heatmap, failures) = Heatmap::from_cells(spec.names.clone(), results);
     let store_degraded = study.store_degraded() || merge_failed;
     if persistent {
         // Journal this run's ledger for whoever resumes or audits the
@@ -749,134 +487,91 @@ pub fn run_campaign(
     Ok(FabricOutcome { heatmap, failures, ledger, pair_wall, solo_wall, store_degraded, resumed })
 }
 
-/// Phase 3: run the listener + local workers until every cell settles.
+/// Phase 3: runs the listener and the local workers until the campaign
+/// is done; returns how many local workers were respawned.
 fn serve(
-    coord: &Coord,
+    driver: &Driver<'_>,
     cfg: &FabricConfig,
-    solo_lines: &[String],
-    on_cell: OnCell<'_>,
+    hello: &[u8],
     worker_dirs: &mut Vec<PathBuf>,
-) -> Result<(), String> {
-    let listener =
-        TcpListener::bind(&cfg.bind).map_err(|e| format!("bind {}: {e}", cfg.bind))?;
+) -> Result<u64, String> {
+    let listener = TcpListener::bind(&cfg.bind).map_err(|e| format!("bind {}: {e}", cfg.bind))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?.to_string();
     if let Some(tx) = &cfg.on_bound {
         let _ = tx.send(addr.clone());
     }
 
-    std::thread::scope(|scope| -> Result<(), String> {
-        // Accept loop: one handler thread per connection, all inside this
-        // scope so they are joined before serve() returns.
+    std::thread::scope(|scope| -> Result<u64, String> {
+        // Accept loop: one thread per connection, all inside this scope
+        // so they are joined before serve() returns.
         scope.spawn(|| {
-            while let Ok((stream, _)) = listener.accept() {
-                if coord.lock().done() {
-                    // Poke connection or a late worker: greet it
-                    // with done semantics via a normal handler —
-                    // it will claim once and be dismissed.
-                    drop(stream);
+            for conn in 1.. {
+                let Ok((stream, _)) = listener.accept() else { break };
+                if driver.lock().done() {
+                    // The teardown poke, or a worker arriving too late.
                     break;
                 }
-                scope.spawn(|| coord.handle_conn(stream, solo_lines, on_cell));
+                scope.spawn(move || driver.serve_conn(conn, stream, hello));
             }
-        });
-        // Lease-expiry sweeper.
-        scope.spawn(|| loop {
-            std::thread::sleep(Duration::from_millis(100));
-            if coord.lock().done() {
-                break;
-            }
-            coord.expire_overdue(on_cell);
         });
 
-        // Local worker processes.
-        let mut children: Vec<std::process::Child> = Vec::new();
-        let mut next_worker = 0usize;
-        let mut spawn_worker = |children: &mut Vec<std::process::Child>,
-                                worker_dirs: &mut Vec<PathBuf>|
-         -> Result<(), String> {
+        // Local worker `k`: its process and its private store.
+        let spawn_worker = |k: usize| -> Result<(std::process::Child, PathBuf), String> {
             let cmd = cfg.worker_cmd.as_ref().expect("checked in run_campaign");
-            let dir = scratch_dir(&format!("worker{next_worker}"));
-            let label = format!("w{next_worker}");
+            let dir = crate::scratch_dir(&format!("worker{k}"));
+            let (label, cpu) = (format!("w{k}"), k.to_string());
             let child = std::process::Command::new(&cmd.exe)
                 .args(&cmd.args)
-                .arg("--connect")
-                .arg(&addr)
-                .arg("--worker-store")
+                .args(["--connect", addr.as_str(), "--worker-store"])
                 .arg(&dir)
-                .arg("--label")
-                .arg(&label)
-                .arg("--pin-cpu")
-                .arg(next_worker.to_string())
+                .args(["--label", label.as_str(), "--pin-cpu", &cpu])
                 .stdout(std::process::Stdio::null())
                 .stderr(std::process::Stdio::inherit())
                 .spawn()
                 .map_err(|e| format!("spawning worker {}: {e}", cmd.exe.display()))?;
-            next_worker += 1;
-            worker_dirs.push(dir);
-            children.push(child);
-            Ok(())
+            Ok((child, dir))
         };
-        for _ in 0..cfg.workers {
-            spawn_worker(&mut children, worker_dirs)?;
+        let mut children = Vec::new();
+        for k in 0..cfg.workers {
+            let (child, dir) = spawn_worker(k)?;
+            children.push(child);
+            worker_dirs.push(dir);
         }
 
-        // Wait for settlement, respawning dead local workers (budget: one
-        // replacement per original slot) and watching for a dead fabric.
-        let respawn_budget = cfg.workers;
-        let abort: Option<String> = loop {
-            let mut st = coord.lock();
-            if st.done() {
+        // Tick until the campaign is done, respawning dead local workers
+        // (budget: one replacement per original slot).
+        let mut respawns = 0;
+        let abort = loop {
+            let machine = driver.lock();
+            if machine.done() {
                 break None;
             }
-            if st.last_activity.elapsed() > cfg.stall_timeout {
-                let unsettled = st.book.unsettled();
-                st.aborted = true;
-                break Some(format!(
-                    "fabric stalled: {unsettled} cell(s) unsettled and no worker \
-                     activity for {:?} (no workers connected, or all of them hung); \
-                     last worker error: {}",
-                    cfg.stall_timeout,
-                    coord.describe_last_fault()
-                ));
+            drop(driver.done.wait_timeout(machine, TICK).unwrap_or_else(PoisonError::into_inner));
+            // Progress is ticked inside `step`, so an abort is all a tick returns.
+            if let Some(Action::Abort(msg)) = driver.step(Event::Tick).pop() {
+                break Some(msg);
             }
-            drop(
-                coord
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(250))
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-            // Local pool upkeep, outside the state lock: exited children
-            // stay in `children`, so `len - workers` is the respawn count
-            // and any excess of deaths over respawns means a slot is
-            // empty. Top it up one child per tick while budget remains.
-            let dead = children
-                .iter_mut()
-                .filter_map(|c| c.try_wait().ok().flatten())
-                .count();
-            let respawned_so_far = children.len() - cfg.workers;
-            if dead > respawned_so_far
-                && respawned_so_far < respawn_budget
-                && !coord.lock().done()
-            {
-                spawn_worker(&mut children, worker_dirs)?;
-                coord.lock().ledger.respawns += 1;
+            // Exited children stay in `children`, so any excess of deaths
+            // over respawns means a slot is empty. Top it up one child per
+            // tick while budget remains.
+            let dead = children.iter_mut().filter_map(|c| c.try_wait().ok().flatten()).count();
+            if dead as u64 > respawns && respawns < cfg.workers as u64 && !driver.lock().done() {
+                let (child, dir) = spawn_worker(children.len())?;
+                children.push(child);
+                worker_dirs.push(dir);
+                respawns += 1;
             }
         };
 
-        // Settled (or stalled): wake everything up and tear down.
-        coord.cv.notify_all();
         // Poke the accept loop so it observes `done`.
         let _ = TcpStream::connect(&addr);
 
         // Give local workers a moment to claim, hear `done`, and exit;
         // then kill whatever is left (hung chaos workers, stuck leases).
         let grace = Instant::now();
-        loop {
-            let all_gone =
-                children.iter_mut().all(|c| matches!(c.try_wait(), Ok(Some(_))));
-            if all_gone || grace.elapsed() > Duration::from_secs(5) {
-                break;
-            }
+        while grace.elapsed() < Duration::from_secs(5)
+            && !children.iter_mut().all(|c| matches!(c.try_wait(), Ok(Some(_))))
+        {
             std::thread::sleep(Duration::from_millis(50));
         }
         for child in children.iter_mut() {
@@ -885,9 +580,9 @@ fn serve(
             }
             let _ = child.wait();
         }
-        if let Some(msg) = abort {
-            return Err(msg);
+        match abort {
+            Some(msg) => Err(msg),
+            None => Ok(respawns),
         }
-        Ok(())
     })
 }

@@ -23,9 +23,9 @@
 //!   fingerprinted so a worker can refuse a coordinator it does not match.
 //! * [`wire`] — the length-prefixed JSON frame protocol
 //!   (`claim → lease{cells, deadline} → result|heartbeat → ack`).
-//! * [`coord`] — the coordinator: partitions cells into leases, spawns
-//!   local workers, accepts remote ones over TCP, re-issues expired
-//!   leases, and merges results + journals into the canonical store.
+//! * [`coord`] — the coordinator: a pure lease machine that makes every
+//!   campaign decision, driven over TCP by an accept loop, one thread per
+//!   worker connection, and a clock tick that also respawns local workers.
 //! * [`worker`] — the worker loop: connect (with retry), claim, compute
 //!   each leased cell under panic isolation, stream journal records back,
 //!   and reconnect through connection loss.
@@ -38,10 +38,13 @@
 
 pub mod chaos;
 pub mod coord;
+mod lease;
 pub mod recover;
 pub mod wire;
 pub mod worker;
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cochar_colocation::Study;
@@ -53,6 +56,15 @@ pub use chaos::{WireFault, WirePlan};
 pub use coord::{run_campaign, FabricConfig, FabricLedger, FabricOutcome, WorkerCmd};
 pub use recover::ResumePrior;
 pub use worker::{run_worker, WorkerChaos, WorkerConfig, WorkerSummary};
+
+/// A fresh scratch directory path under the system temp dir, unique per
+/// call, not just per process: in-process workers that share a label
+/// must not share a journal (and its writer lock).
+pub(crate) fn scratch_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("cochar-fabric-{tag}-{}-{n}", std::process::id()))
+}
 
 /// Everything a worker needs to rebuild the coordinator's [`Study`] from
 /// scratch — the campaign is described by value, never by reference to

@@ -28,7 +28,7 @@ use cochar_store::json::Json;
 use cochar_store::sidecar;
 
 use crate::coord::FabricLedger;
-use crate::wire::{campaign_from_json, campaign_to_json};
+use crate::wire::{campaign_from_json, campaign_to_json, Fields};
 use crate::CampaignSpec;
 
 /// Campaign metadata file, beside the run journal.
@@ -69,66 +69,49 @@ pub fn load_campaign(dir: &Path) -> Result<Option<(u64, CampaignSpec)>, String> 
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("reading {}: {e}", path.display())),
     };
-    let doc = Json::parse(text.trim())
-        .map_err(|e| format!("parsing {}: {e}", path.display()))?;
-    let fp = doc
-        .field("fp")
-        .and_then(Json::as_str)
-        .map_err(|e| e.to_string())
-        .and_then(|s| {
-            u64::from_str_radix(s, 16).map_err(|_| format!("bad fingerprint {s:?}"))
-        })
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    let spec = campaign_from_json(
-        doc.field("campaign").map_err(|e| format!("{}: {e}", path.display()))?,
-    )
-    .map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(Some((fp, spec)))
+    let doc = Json::parse(text.trim()).map_err(|e| format!("parsing {}: {e}", path.display()))?;
+    let f = Fields(&doc);
+    let recorded = f.hex("fp").and_then(|fp| Ok((fp, campaign_from_json(f.get("campaign")?)?)));
+    recorded.map(Some).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn ledger_to_json(l: &FabricLedger) -> Json {
-    Json::Obj(vec![
-        ("workers".into(), Json::u64(l.workers)),
-        ("worker_deaths".into(), Json::u64(l.worker_deaths)),
-        ("respawns".into(), Json::u64(l.respawns)),
-        ("reconnects".into(), Json::u64(l.reconnects)),
-        ("leases_issued".into(), Json::u64(l.leases_issued)),
-        ("leases_reissued".into(), Json::u64(l.leases_reissued)),
-        ("cell_retries".into(), Json::u64(l.cell_retries)),
-        ("cells_cached".into(), Json::u64(l.cells_cached)),
-        ("records_merged".into(), Json::u64(l.records_merged)),
-        ("records_duplicate".into(), Json::u64(l.records_duplicate)),
-        ("results_duplicate".into(), Json::u64(l.results_duplicate)),
-        ("wire_faults".into(), Json::u64(l.wire_faults)),
-    ])
+/// The ledger's counters by their log names: the one table that renders,
+/// parses, and sums them.
+fn counters(l: &mut FabricLedger) -> [(&'static str, &mut u64); 12] {
+    [
+        ("workers", &mut l.workers),
+        ("worker_deaths", &mut l.worker_deaths),
+        ("respawns", &mut l.respawns),
+        ("reconnects", &mut l.reconnects),
+        ("leases_issued", &mut l.leases_issued),
+        ("leases_reissued", &mut l.leases_reissued),
+        ("cell_retries", &mut l.cell_retries),
+        ("cells_cached", &mut l.cells_cached),
+        ("records_merged", &mut l.records_merged),
+        ("records_duplicate", &mut l.records_duplicate),
+        ("results_duplicate", &mut l.results_duplicate),
+        ("wire_faults", &mut l.wire_faults),
+    ]
 }
 
-fn ledger_from_json(v: &Json) -> Result<FabricLedger, String> {
+fn ledger_to_json(mut l: FabricLedger) -> Json {
+    Json::Obj(counters(&mut l).into_iter().map(|(k, v)| (k.to_string(), Json::u64(*v))).collect())
+}
+
+fn ledger_from_json(v: &Json) -> FabricLedger {
     // Missing fields read as 0 so a ledger log written by an older build
     // still loads (new counters simply start at zero).
-    let u = |k: &str| v.get(k).and_then(|f| f.as_u64().ok()).unwrap_or(0);
-    Ok(FabricLedger {
-        workers: u("workers"),
-        worker_deaths: u("worker_deaths"),
-        respawns: u("respawns"),
-        reconnects: u("reconnects"),
-        leases_issued: u("leases_issued"),
-        leases_reissued: u("leases_reissued"),
-        cell_retries: u("cell_retries"),
-        cells_cached: u("cells_cached"),
-        records_merged: u("records_merged"),
-        records_duplicate: u("records_duplicate"),
-        results_duplicate: u("results_duplicate"),
-        wire_faults: u("wire_faults"),
-    })
+    let mut l = FabricLedger::default();
+    for (k, counter) in counters(&mut l) {
+        *counter = v.get(k).and_then(|f| f.as_u64().ok()).unwrap_or(0);
+    }
+    l
 }
 
 /// Appends one run's ledger snapshot to the log in `dir`.
 pub fn append_ledger(dir: &Path, run: u64, ledger: &FabricLedger) -> Result<(), String> {
-    let payload = Json::Obj(vec![
-        ("run".into(), Json::u64(run)),
-        ("ledger".into(), ledger_to_json(ledger)),
-    ]);
+    let payload =
+        Json::Obj(vec![("run".into(), Json::u64(run)), ("ledger".into(), ledger_to_json(*ledger))]);
     sidecar::append_line(&dir.join(LEDGER_LOG), &payload)
         .map_err(|e| format!("appending {LEDGER_LOG}: {e}"))
 }
@@ -141,22 +124,14 @@ pub fn load_ledger_log(dir: &Path) -> ResumePrior {
         sidecar::read_lines(&dir.join(LEDGER_LOG)).unwrap_or((Vec::new(), 0));
     let mut prior = ResumePrior::default();
     for line in &lines {
-        let Some(ledger) = line.get("ledger").and_then(|l| ledger_from_json(l).ok()) else {
+        let Some(mut ledger) = line.get("ledger").map(ledger_from_json) else {
             continue;
         };
         prior.runs += 1;
-        prior.ledger.workers += ledger.workers;
-        prior.ledger.worker_deaths += ledger.worker_deaths;
-        prior.ledger.respawns += ledger.respawns;
-        prior.ledger.reconnects += ledger.reconnects;
-        prior.ledger.leases_issued += ledger.leases_issued;
-        prior.ledger.leases_reissued += ledger.leases_reissued;
-        prior.ledger.cell_retries += ledger.cell_retries;
-        prior.ledger.cells_cached += ledger.cells_cached;
-        prior.ledger.records_merged += ledger.records_merged;
-        prior.ledger.records_duplicate += ledger.records_duplicate;
-        prior.ledger.results_duplicate += ledger.results_duplicate;
-        prior.ledger.wire_faults += ledger.wire_faults;
+        let pairs = counters(&mut prior.ledger).into_iter().zip(counters(&mut ledger));
+        for ((_, sum), (_, add)) in pairs {
+            *sum += *add;
+        }
     }
     prior
 }

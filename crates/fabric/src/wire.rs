@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! C→W  hello     {t, fp, lease_ms, campaign{machine,work,threads,trials,seed,msr,names}, solo:[line...]}
-//! W→C  claim     {t, fp, worker, session, faults}
+//! W→C  claim     {t, fp, worker, id, session, faults}
 //! C→W  lease     {t, id, deadline_ms, cells:[{fg,bg,attempt,issue}...]}
 //!      | wait    {t, ms}
 //!      | done    {t}
@@ -18,9 +18,12 @@
 //! W→C  heartbeat {t, lease}        (any time while a lease is held)
 //! ```
 //!
+//! `worker` is a free-text label for diagnostics; `id` is a random
+//! identity the worker draws once and keeps across reconnects.
 //! `session` counts reconnects (0 = a worker's first connection) and
 //! `faults` is the worker's cumulative count of wire protocol errors it
-//! has observed, so the coordinator's ledger sees both sides of the link.
+//! has observed; the coordinator keeps one high-water mark of it per
+//! `id`, so its ledger sees both sides of every link.
 //!
 //! `solo` and `records` carry journal lines exactly as
 //! [`cochar_store::journal::render_record`] produced them — checksummed
@@ -138,6 +141,9 @@ pub enum Msg {
         fp: u64,
         /// Worker label (diagnostics only).
         worker: String,
+        /// The worker's identity, drawn once and kept across reconnects:
+        /// the key of its fault count.
+        id: u64,
         /// Reconnect count: 0 on a worker's first connection, bumped on
         /// each re-connection to the same campaign.
         session: u32,
@@ -190,22 +196,47 @@ fn hex16(v: u64) -> Json {
     Json::str(format!("{v:016x}"))
 }
 
+/// Cell statuses by their wire names.
+const STATUSES: [(CellStatus, &str); 4] = [
+    (CellStatus::Ok, "ok"),
+    (CellStatus::Truncated, "truncated"),
+    (CellStatus::Stalled, "stalled"),
+    (CellStatus::Failed, "failed"),
+];
+
 fn status_str(s: CellStatus) -> &'static str {
-    match s {
-        CellStatus::Ok => "ok",
-        CellStatus::Truncated => "truncated",
-        CellStatus::Stalled => "stalled",
-        CellStatus::Failed => "failed",
-    }
+    STATUSES.iter().find(|(status, _)| *status == s).map_or("failed", |(_, name)| name)
 }
 
 fn status_parse(s: &str) -> Result<CellStatus, String> {
-    match s {
-        "ok" => Ok(CellStatus::Ok),
-        "truncated" => Ok(CellStatus::Truncated),
-        "stalled" => Ok(CellStatus::Stalled),
-        "failed" => Ok(CellStatus::Failed),
-        other => Err(format!("unknown cell status {other:?}")),
+    let known = STATUSES.iter().find(|(_, name)| *name == s);
+    known.map(|(status, _)| *status).ok_or_else(|| format!("unknown cell status {s:?}"))
+}
+
+/// Typed access to a JSON object's fields, errors rendered as strings.
+pub(crate) struct Fields<'a>(pub(crate) &'a Json);
+
+impl<'a> Fields<'a> {
+    pub(crate) fn get(&self, k: &str) -> Result<&'a Json, String> {
+        self.0.field(k).map_err(|e| e.to_string())
+    }
+
+    fn u64(&self, k: &str) -> Result<u64, String> {
+        self.get(k)?.as_u64().map_err(|e| e.to_string())
+    }
+
+    fn str(&self, k: &str) -> Result<&'a str, String> {
+        self.get(k)?.as_str().map_err(|e| e.to_string())
+    }
+
+    pub(crate) fn hex(&self, k: &str) -> Result<u64, String> {
+        let s = self.str(k)?;
+        u64::from_str_radix(s, 16).map_err(|_| format!("bad hex fingerprint {s:?}"))
+    }
+
+    fn strings(&self, k: &str) -> Result<Vec<String>, String> {
+        let arr = self.get(k)?.as_arr().map_err(|e| e.to_string())?;
+        arr.iter().map(|l| l.as_str().map(str::to_string).map_err(|e| e.to_string())).collect()
     }
 }
 
@@ -220,14 +251,12 @@ impl WireCell {
     }
 
     fn from_json(v: &Json) -> Result<WireCell, String> {
-        let u = |k: &str| -> Result<u64, String> {
-            v.field(k).and_then(Json::as_u64).map_err(|e| e.to_string())
-        };
+        let f = Fields(v);
         Ok(WireCell {
-            fg: u("fg")? as usize,
-            bg: u("bg")? as usize,
-            attempt: u("attempt")? as u32,
-            issue: u("issue")? as u32,
+            fg: f.u64("fg")? as usize,
+            bg: f.u64("bg")? as usize,
+            attempt: f.u64("attempt")? as u32,
+            issue: f.u64("issue")? as u32,
         })
     }
 }
@@ -248,47 +277,20 @@ pub(crate) fn campaign_to_json(c: &CampaignSpec) -> Json {
 
 /// Parses a campaign spec (wire hello, `campaign.json`).
 pub(crate) fn campaign_from_json(v: &Json) -> Result<CampaignSpec, String> {
-    let s = |k: &str| -> Result<String, String> {
-        v.field(k)
-            .and_then(|f| f.as_str().map(str::to_string))
-            .map_err(|e| e.to_string())
-    };
-    let u = |k: &str| -> Result<u64, String> {
-        v.field(k).and_then(Json::as_u64).map_err(|e| e.to_string())
-    };
-    let names = v
-        .field("names")
-        .and_then(Json::as_arr)
-        .map_err(|e| e.to_string())?
-        .iter()
-        .map(|n| n.as_str().map(str::to_string).map_err(|e| e.to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
+    let f = Fields(v);
     Ok(CampaignSpec {
-        machine: s("machine")?,
-        work: v.field("work").and_then(Json::as_f64).map_err(|e| e.to_string())?,
-        threads: u("threads")? as usize,
-        trials: u("trials")? as u32,
-        seed: u("seed")?,
-        msr: u("msr")?,
-        names,
+        machine: f.str("machine")?.to_string(),
+        work: f.get("work")?.as_f64().map_err(|e| e.to_string())?,
+        threads: f.u64("threads")? as usize,
+        trials: f.u64("trials")? as u32,
+        seed: f.u64("seed")?,
+        msr: f.u64("msr")?,
+        names: f.strings("names")?,
     })
 }
 
 fn lines_to_json(lines: &[String]) -> Json {
     Json::Arr(lines.iter().map(Json::str).collect())
-}
-
-fn lines_from_json(v: &Json) -> Result<Vec<String>, String> {
-    v.as_arr()
-        .map_err(|e| e.to_string())?
-        .iter()
-        .map(|l| l.as_str().map(str::to_string).map_err(|e| e.to_string()))
-        .collect()
-}
-
-fn parse_hex16(v: &Json) -> Result<u64, String> {
-    let s = v.as_str().map_err(|e| e.to_string())?;
-    u64::from_str_radix(s, 16).map_err(|_| format!("bad hex fingerprint {s:?}"))
 }
 
 impl Msg {
@@ -302,10 +304,11 @@ impl Msg {
                 ("campaign", campaign_to_json(campaign)),
                 ("solo", lines_to_json(solo)),
             ]),
-            Msg::Claim { fp, worker, session, faults } => obj(vec![
+            Msg::Claim { fp, worker, id, session, faults } => obj(vec![
                 ("t", Json::str("claim")),
                 ("fp", hex16(*fp)),
                 ("worker", Json::str(worker)),
+                ("id", hex16(*id)),
                 ("session", Json::u64(u64::from(*session))),
                 ("faults", Json::u64(*faults)),
             ]),
@@ -346,70 +349,52 @@ impl Msg {
 
     /// Parses a protocol message from its JSON document.
     pub fn from_json(v: &Json) -> Result<Msg, String> {
-        let t = v
-            .field("t")
-            .and_then(Json::as_str)
-            .map_err(|e| format!("frame missing type: {e}"))?;
-        let u = |k: &str| -> Result<u64, String> {
-            v.field(k).and_then(Json::as_u64).map_err(|e| e.to_string())
-        };
+        let f = Fields(v);
+        let t = f.str("t").map_err(|e| format!("frame missing type: {e}"))?;
         match t {
             "hello" => Ok(Msg::Hello {
-                fp: parse_hex16(v.field("fp").map_err(|e| e.to_string())?)?,
-                lease_ms: u("lease_ms")?,
-                campaign: campaign_from_json(v.field("campaign").map_err(|e| e.to_string())?)?,
-                solo: lines_from_json(v.field("solo").map_err(|e| e.to_string())?)?,
+                fp: f.hex("fp")?,
+                lease_ms: f.u64("lease_ms")?,
+                campaign: campaign_from_json(f.get("campaign")?)?,
+                solo: f.strings("solo")?,
             }),
             "claim" => Ok(Msg::Claim {
-                fp: parse_hex16(v.field("fp").map_err(|e| e.to_string())?)?,
-                worker: v
-                    .field("worker")
-                    .and_then(|w| w.as_str().map(str::to_string))
-                    .map_err(|e| e.to_string())?,
-                session: u("session")? as u32,
-                faults: u("faults")?,
+                fp: f.hex("fp")?,
+                worker: f.str("worker")?.to_string(),
+                id: f.hex("id")?,
+                session: f.u64("session")? as u32,
+                faults: f.u64("faults")?,
             }),
             "lease" => Ok(Msg::Lease {
-                id: u("id")?,
-                deadline_ms: u("deadline_ms")?,
-                cells: v
-                    .field("cells")
-                    .and_then(Json::as_arr)
+                id: f.u64("id")?,
+                deadline_ms: f.u64("deadline_ms")?,
+                cells: f
+                    .get("cells")?
+                    .as_arr()
                     .map_err(|e| e.to_string())?
                     .iter()
                     .map(WireCell::from_json)
                     .collect::<Result<Vec<_>, _>>()?,
             }),
-            "wait" => Ok(Msg::Wait { ms: u("ms")? }),
+            "wait" => Ok(Msg::Wait { ms: f.u64("ms")? }),
             "done" => Ok(Msg::Done),
             "result" => {
-                let ok = v.field("ok").and_then(Json::as_bool).map_err(|e| e.to_string())?;
-                let outcome = if ok {
+                let outcome = if f.get("ok")?.as_bool().map_err(|e| e.to_string())? {
                     CellOutcome::Value {
-                        value: v
-                            .field("value")
-                            .and_then(Json::as_f64)
-                            .map_err(|e| e.to_string())?,
-                        status: status_parse(
-                            v.field("status").and_then(Json::as_str).map_err(|e| e.to_string())?,
-                        )?,
+                        value: f.get("value")?.as_f64().map_err(|e| e.to_string())?,
+                        status: status_parse(f.str("status")?)?,
                     }
                 } else {
-                    CellOutcome::Panic {
-                        cause: v
-                            .field("panic")
-                            .and_then(|p| p.as_str().map(str::to_string))
-                            .map_err(|e| e.to_string())?,
-                    }
+                    CellOutcome::Panic { cause: f.str("panic")?.to_string() }
                 };
                 Ok(Msg::Result {
-                    lease: u("lease")?,
-                    cell: WireCell::from_json(v.field("cell").map_err(|e| e.to_string())?)?,
+                    lease: f.u64("lease")?,
+                    cell: WireCell::from_json(f.get("cell")?)?,
                     outcome,
-                    records: lines_from_json(v.field("records").map_err(|e| e.to_string())?)?,
+                    records: f.strings("records")?,
                 })
             }
-            "heartbeat" => Ok(Msg::Heartbeat { lease: u("lease")? }),
+            "heartbeat" => Ok(Msg::Heartbeat { lease: f.u64("lease")? }),
             "ack" => Ok(Msg::Ack),
             other => Err(format!("unknown message type {other:?}")),
         }
@@ -571,7 +556,7 @@ mod tests {
             campaign: spec(),
             solo: vec!["{\"k\":\"x\"}".into()],
         });
-        round_trip(Msg::Claim { fp: 1, worker: "w0".into(), session: 3, faults: 2 });
+        round_trip(Msg::Claim { fp: 1, worker: "w0".into(), id: u64::MAX, session: 3, faults: 2 });
         round_trip(Msg::Lease { id: 9, deadline_ms: 30_000, cells: vec![cell] });
         round_trip(Msg::Wait { ms: 200 });
         round_trip(Msg::Done);

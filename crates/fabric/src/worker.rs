@@ -40,7 +40,9 @@
 //! heartbeat and sleeps forever, which is how lease *expiry* (as opposed
 //! to connection death) is exercised.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
+use std::hash::BuildHasher;
 use std::io::Write;
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -168,58 +170,47 @@ enum SessionEnd {
     Fatal(String),
 }
 
-/// The one result sent but not yet acknowledged — resent verbatim on the
-/// next session so a result lost with its connection still lands.
-#[derive(Clone)]
-struct PendingResult {
-    lease: u64,
-    cell: WireCell,
-    outcome: CellOutcome,
-    records: Vec<String>,
-}
-
 /// Worker state that survives across sessions.
 struct WorkerState {
+    /// This worker's identity in every claim: random, drawn once per
+    /// [`run_worker`], so the coordinator counts its faults apart.
+    id: u64,
     fp: Option<u64>,
     study: Option<Study>,
     names: Vec<String>,
     sent: HashSet<RunKey>,
-    pending: Option<PendingResult>,
+    /// The one `result` sent but not yet acknowledged — resent verbatim
+    /// on the next session so a result lost with its connection lands.
+    pending: Option<Msg>,
     session: u32,
     summary: WorkerSummary,
 }
 
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
-/// What [`recv`] yielded.
-enum Recv {
-    Msg(Msg),
-    /// The connection ended or turned untrustworthy (reason inside).
-    Closed(String),
-    /// No frame within the deadline.
-    Timeout,
-}
-
 /// Waits for the next message, riding out read-timeout idles up to
-/// `deadline`. Inbound protocol errors are counted and reported as a
-/// closed (untrustworthy) connection — the reconnect machinery owns the
-/// recovery, never the parser.
-fn recv(reader: &mut FrameReader<TcpStream>, deadline: Duration, wire_faults: &mut u64) -> Recv {
+/// `deadline`. Anything else — a close, the deadline, or an inbound
+/// protocol error (counted) — comes back as the reason the connection is
+/// lost: the reconnect machinery owns the recovery, never the parser.
+fn recv(
+    reader: &mut FrameReader<TcpStream>,
+    deadline: Duration,
+    wire_faults: &mut u64,
+) -> Result<Msg, String> {
     let start = Instant::now();
     loop {
         match reader.next_frame() {
-            Ok(Frame::Msg(m)) => return Recv::Msg(m),
-            Ok(Frame::Eof) => return Recv::Closed("connection closed".into()),
-            Ok(Frame::Idle) => {
-                if start.elapsed() > deadline {
-                    return Recv::Timeout;
-                }
+            Ok(Frame::Msg(m)) => return Ok(m),
+            Ok(Frame::Eof) => return Err("connection closed".into()),
+            Ok(Frame::Idle) if start.elapsed() > deadline => {
+                return Err(format!("no reply within the {deadline:?} reply timeout"))
             }
+            Ok(Frame::Idle) => {}
             Err(WireError::Protocol(e)) => {
                 *wire_faults += 1;
-                return Recv::Closed(format!("wire fault: {e}"));
+                return Err(format!("wire fault: {e}"));
             }
-            Err(WireError::Io(e)) => return Recv::Closed(e),
+            Err(WireError::Io(e)) => return Err(e),
         }
     }
 }
@@ -288,20 +279,6 @@ fn connect_with_retry(addr: &str, budget: Duration) -> Result<TcpStream, String>
     }
 }
 
-/// Counter for unique scratch stores within one process.
-static SCRATCH: AtomicU64 = AtomicU64::new(0);
-
-/// A private scratch store directory. Unique per call, not just per
-/// process: in-process workers that share a label must not share a
-/// journal (and its writer lock).
-fn scratch_store_dir(label: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "cochar-worker-{label}-{}-{}",
-        std::process::id(),
-        SCRATCH.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 /// Connects to a coordinator and works until dismissed, reconnecting
 /// through connection loss (see the module docs).
 pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
@@ -315,7 +292,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
     // simulates a denominator. Opened once; sessions share it.
     let (store_dir, scratch) = match &cfg.store_dir {
         Some(dir) => (dir.clone(), false),
-        None => (scratch_store_dir(&cfg.label), true),
+        None => (crate::scratch_dir(&format!("worker-{}", cfg.label)), true),
     };
     let store = RunStore::open(&store_dir).map_err(|e| e.to_string())?;
     // One chaos state for the whole process: frame indices keep counting
@@ -327,6 +304,9 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
         .map(|plan| Arc::new(Mutex::new(ChaosState::new(plan.clone()))));
 
     let mut st = WorkerState {
+        // Each `RandomState` has fresh keys (seeded from the OS per
+        // thread), so workers sharing a label, host or process differ.
+        id: RandomState::new().hash_one(std::process::id()),
         fp: None,
         study: None,
         names: Vec::new(),
@@ -408,9 +388,8 @@ fn run_session(
 
     // Greeting: the campaign by value, plus solo pre-seed records.
     let hello = match recv(&mut reader, cfg.reply_timeout, &mut st.summary.wire_faults) {
-        Recv::Msg(m) => m,
-        Recv::Closed(why) => return SessionEnd::Lost(format!("before hello: {why}")),
-        Recv::Timeout => return SessionEnd::Lost("no hello within the reply timeout".into()),
+        Ok(m) => m,
+        Err(why) => return SessionEnd::Lost(format!("before hello: {why}")),
     };
     let (fp, lease_ms, campaign, solo) = match hello {
         Msg::Hello { fp, lease_ms, campaign, solo } => (fp, lease_ms, campaign, solo),
@@ -495,30 +474,20 @@ fn session_loop(
     reader: &mut FrameReader<TcpStream>,
     current_lease: &AtomicU64,
 ) -> SessionEnd {
-    let WorkerState { fp, study, names, sent, pending, session, summary } = st;
+    let WorkerState { id, fp, study, names, sent, pending, session, summary } = st;
     let fp = fp.expect("hello recorded the fingerprint");
     let study = study.as_ref().expect("hello built the study");
 
     // Resend the result the previous session never got acknowledged —
     // idempotent: the coordinator dismisses it if the cell settled
     // meanwhile, and the records dedup by content either way.
-    if let Some(p) = pending.clone() {
+    if let Some(Msg::Result { cell, .. }) = pending {
         eprintln!(
             "fabric: worker {} resending unacknowledged result for cell ({}, {})",
-            cfg.label, p.cell.fg, p.cell.bg
+            cfg.label, cell.fg, cell.bg
         );
-        let msg = Msg::Result {
-            lease: p.lease,
-            cell: p.cell,
-            outcome: p.outcome,
-            records: p.records,
-        };
-        if !send_to(writer, &msg) {
-            return SessionEnd::Lost("resending unacknowledged result".into());
-        }
-        match await_ack(reader, cfg.reply_timeout, &mut summary.wire_faults) {
-            AckEnd::Acked => *pending = None,
-            AckEnd::End(end) => return end,
+        if let Err(end) = deliver(cfg, writer, reader, pending, &mut summary.wire_faults) {
+            return end;
         }
     }
 
@@ -526,6 +495,7 @@ fn session_loop(
         let claim = Msg::Claim {
             fp,
             worker: cfg.label.clone(),
+            id: *id,
             session: *session,
             faults: summary.wire_faults,
         };
@@ -536,12 +506,9 @@ fn session_loop(
             match recv(reader, cfg.reply_timeout, &mut summary.wire_faults) {
                 // A stray ack (e.g. the echo of a chaos-duplicated result
                 // frame) is not the claim reply; keep waiting.
-                Recv::Msg(Msg::Ack) => continue,
-                Recv::Msg(m) => break m,
-                Recv::Closed(why) => return SessionEnd::Lost(why),
-                Recv::Timeout => {
-                    return SessionEnd::Lost("no reply to claim (reply timeout)".into())
-                }
+                Ok(Msg::Ack) => continue,
+                Ok(m) => break m,
+                Err(why) => return SessionEnd::Lost(why),
             }
         };
         match reply {
@@ -576,18 +543,11 @@ fn session_loop(
                         }
                     };
                     let records = new_records(store, sent);
-                    *pending = Some(PendingResult {
-                        lease: id,
-                        cell,
-                        outcome: outcome.clone(),
-                        records: records.clone(),
-                    });
-                    if !send_to(writer, &Msg::Result { lease: id, cell, outcome, records }) {
-                        return SessionEnd::Lost("sending result".into());
-                    }
-                    match await_ack(reader, cfg.reply_timeout, &mut summary.wire_faults) {
-                        AckEnd::Acked => *pending = None,
-                        AckEnd::End(end) => return end,
+                    *pending = Some(Msg::Result { lease: id, cell, outcome, records });
+                    if let Err(end) =
+                        deliver(cfg, writer, reader, pending, &mut summary.wire_faults)
+                    {
+                        return end;
                     }
                 }
                 current_lease.store(0, Ordering::Relaxed);
@@ -597,31 +557,29 @@ fn session_loop(
     }
 }
 
-/// What [`await_ack`] concluded.
-enum AckEnd {
-    Acked,
-    End(SessionEnd),
-}
-
-/// Waits for the ack of a just-sent result. Anything else ends the
-/// session: `done` is dismissal, an unexpected frame means this link is
-/// out of step (e.g. a buffered reply to a chaos-duplicated claim) and is
-/// cheaper to re-establish than to re-synchronize.
-fn await_ack(
+/// Sends the pending result and waits for its ack, which clears it.
+/// Anything but an ack ends the session: `done` is dismissal, an
+/// unexpected frame means this link is out of step (e.g. a buffered
+/// reply to a chaos-duplicated claim) and is cheaper to re-establish than
+/// to re-synchronize.
+fn deliver(
+    cfg: &WorkerConfig,
+    writer: &SharedWriter,
     reader: &mut FrameReader<TcpStream>,
-    deadline: Duration,
+    pending: &mut Option<Msg>,
     wire_faults: &mut u64,
-) -> AckEnd {
-    match recv(reader, deadline, wire_faults) {
-        Recv::Msg(Msg::Ack) => AckEnd::Acked,
-        Recv::Msg(Msg::Done) => AckEnd::End(SessionEnd::Dismissed),
-        Recv::Msg(other) => {
-            AckEnd::End(SessionEnd::Lost(format!("expected ack, got {other:?}")))
+) -> Result<(), SessionEnd> {
+    if !send_to(writer, pending.as_ref().expect("a result to deliver")) {
+        return Err(SessionEnd::Lost("sending result".into()));
+    }
+    match recv(reader, cfg.reply_timeout, wire_faults) {
+        Ok(Msg::Ack) => {
+            *pending = None;
+            Ok(())
         }
-        Recv::Closed(why) => AckEnd::End(SessionEnd::Lost(why)),
-        Recv::Timeout => {
-            AckEnd::End(SessionEnd::Lost("result unacknowledged (reply timeout)".into()))
-        }
+        Ok(Msg::Done) => Err(SessionEnd::Dismissed),
+        Ok(other) => Err(SessionEnd::Lost(format!("expected ack, got {other:?}"))),
+        Err(why) => Err(SessionEnd::Lost(why)),
     }
 }
 
@@ -683,7 +641,7 @@ mod tests {
     #[test]
     fn default_label_workers_get_distinct_scratch_stores() {
         let cfg = WorkerConfig::new("127.0.0.1:1");
-        assert_ne!(scratch_store_dir(&cfg.label), scratch_store_dir(&cfg.label));
+        assert_ne!(crate::scratch_dir(&cfg.label), crate::scratch_dir(&cfg.label));
     }
 
     #[test]

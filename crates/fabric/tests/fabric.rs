@@ -344,7 +344,7 @@ fn mismatched_fingerprint_claim_is_dismissed() {
             }
         };
         let claim =
-            Msg::Claim { fp: fp ^ 1, worker: "impostor".into(), session: 0, faults: 0 };
+            Msg::Claim { fp: fp ^ 1, worker: "impostor".into(), id: 1, session: 0, faults: 0 };
         write_frame(&mut writer, &claim).expect("claim");
         let reply = loop {
             match reader.next_frame().expect("reply frame") {
@@ -395,7 +395,7 @@ fn stall_error_names_the_last_worker_fault() {
                 other => panic!("expected hello, got {other:?}"),
             }
         };
-        let claim = Msg::Claim { fp, worker: "garbled".into(), session: 0, faults: 0 };
+        let claim = Msg::Claim { fp, worker: "garbled".into(), id: 1, session: 0, faults: 0 };
         let mut frame = Vec::new();
         write_frame(&mut frame, &claim).expect("encode claim");
         *frame.last_mut().unwrap() ^= 0x01; // payload no longer matches its checksum
@@ -444,7 +444,7 @@ fn out_of_range_result_is_a_wire_fault() {
             Some(Msg::Hello { fp, .. }) => fp,
             other => panic!("expected hello, got {other:?}"),
         };
-        let claim = Msg::Claim { fp, worker: "off-by-one".into(), session: 0, faults: 0 };
+        let claim = Msg::Claim { fp, worker: "off-by-one".into(), id: 1, session: 0, faults: 0 };
         write_frame(&mut writer, &claim).expect("claim");
         let (lease, leased) = match next_msg() {
             Some(Msg::Lease { id, cells, .. }) => (id, cells[0]),

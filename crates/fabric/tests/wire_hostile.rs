@@ -17,6 +17,7 @@ fn msg_for(kind: u8, x: u64) -> Msg {
         _ => Msg::Claim {
             fp: x,
             worker: format!("w{}", x % 10),
+            id: x.rotate_left(17),
             session: (x % 7) as u32,
             faults: x % 13,
         },
