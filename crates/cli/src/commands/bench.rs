@@ -27,6 +27,11 @@
 //!   accident to slip through. The file is never rewritten, so reruns
 //!   leave it byte-identical.
 //!
+//! The file may also hold a `campaign` section: a fabric scaling series
+//! (25 cells at 1/2/4/8 workers) and its `csv_hash`. It is a frozen pin —
+//! `--pin` carries it forward byte for byte and `--check` ignores it —
+//! because perfbench's cold campaign checks its own pins against it.
+//!
 //! The run store is deliberately rejected here: cached runs would
 //! measure the journal, not the engine.
 
@@ -56,13 +61,6 @@ const SOLO_APPS: [&str; 10] = [
 
 /// Pair phase: FG×BG over offenders and victims — 16 co-run cells.
 const PAIR_APPS: [&str; 4] = ["G-CC", "CIFAR", "mcf", "fotonik3d"];
-
-/// Campaign phase (`--campaign`): the fabric's scaling measurement —
-/// a 25-cell heatmap sharded over 1/2/4/8 worker processes.
-const CAMPAIGN_APPS: [&str; 5] = ["G-CC", "CIFAR", "mcf", "fotonik3d", "LSTM"];
-
-/// Worker counts of the campaign scaling series.
-const CAMPAIGN_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// One full measurement at the current build.
 struct Measured {
@@ -108,9 +106,7 @@ pub fn run(opts: &Opts) -> Result<ExitCode, String> {
         return Err("--pin and --check are mutually exclusive".into());
     }
     if opts.switch("campaign") {
-        // The fabric scaling series is its own aspect: it measures
-        // process-level parallelism, not single-engine throughput.
-        return campaign(opts, &path, pin, check);
+        return Err("bench measures the engine; campaign scaling is `sweep --workers N`".into());
     }
 
     let m = measure(opts, reps)?;
@@ -318,7 +314,7 @@ fn pin_entry(opts: &Opts, existing: Option<Json>, m: &Measured, id: &str) -> Res
     let mut pairs = vec![("schema".into(), Json::str(SCHEMA))];
     pairs.extend(params);
     pairs.push(("entries".into(), Json::Arr(entries)));
-    // A campaign section pinned by `--campaign --pin` rides along.
+    // The frozen `campaign` section rides along (see the module docs).
     if let Some(c) = existing.as_ref().and_then(|doc| doc.get("campaign")) {
         pairs.push(("campaign".into(), c.clone()));
     }
@@ -391,223 +387,30 @@ fn check_against(
     Ok(ExitCode::SUCCESS)
 }
 
-// ---------------------------------------------------------------------
-// Campaign scaling (`--campaign`): cells/sec of one sharded sweep at
-// 1/2/4/8 worker processes.
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// One campaign-scaling measurement: wall time per worker count plus the
-/// deterministic CSV hash (identical across counts by construction).
-struct CampaignMeasured {
-    wall_s: Vec<f64>,
-    csv_hash: String,
-    host_cpus: u64,
-}
-
-impl CampaignMeasured {
-    fn cells_per_sec(&self, i: usize) -> f64 {
-        round3(CAMPAIGN_APPS.len().pow(2) as f64 / self.wall_s[i])
-    }
-
-    /// Throughput at `workers` relative to one worker.
-    fn speedup(&self, workers: usize) -> Option<f64> {
-        let i = CAMPAIGN_WORKERS.iter().position(|&w| w == workers)?;
-        Some(round3(self.wall_s[0] / self.wall_s[i]))
-    }
-}
-
-fn campaign(opts: &Opts, path: &str, pin: Option<&str>, check: bool) -> Result<ExitCode, String> {
-    let m = measure_campaign(opts)?;
-    println!(
-        "bench: campaign scaling ({} cells, host has {} cpu(s))",
-        CAMPAIGN_APPS.len().pow(2),
-        m.host_cpus
-    );
-    for (i, &w) in CAMPAIGN_WORKERS.iter().enumerate() {
-        println!(
-            "  {w} worker(s): {:.3}s = {:.3} cells/s ({:.2}x vs 1 worker)",
-            m.wall_s[i],
-            m.cells_per_sec(i),
-            m.wall_s[0] / m.wall_s[i]
-        );
-    }
-    println!("  csv hash {}", m.csv_hash);
-
-    let existing = read_file(path)?;
-    if let Some(id) = pin {
-        let doc = pin_campaign(opts, existing, &m, id)?;
-        std::fs::write(path, doc.render() + "\n")
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("bench: pinned campaign entry {id:?} in {path}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let Some(doc) = existing else {
-        println!("bench: no {path} yet; rerun with --pin <id> to record a baseline");
-        return Ok(ExitCode::SUCCESS);
-    };
-    let Some(pinned) = doc.get("campaign") else {
-        if check {
-            return Err(format!("{path} has no campaign section; --campaign --pin one first"));
-        }
-        println!("bench: no campaign section in {path}; rerun with --pin <id>");
-        return Ok(ExitCode::SUCCESS);
-    };
-    check_campaign(pinned, &m)
-}
-
-/// Runs the 25-cell campaign once per worker count over a fresh scratch
-/// store (cached cells would measure the journal, not the fabric).
-fn measure_campaign(opts: &Opts) -> Result<CampaignMeasured, String> {
-    use cochar_fabric::{run_campaign, CampaignSpec, FabricConfig, WorkerCmd};
-
-    let spec = CampaignSpec {
-        machine: opts.flag("machine").unwrap_or("bench").to_string(),
-        work: opts.flag_parse("work", DEFAULT_WORK)?,
-        threads: opts.flag_parse("threads", 4usize)?,
-        trials: opts.flag_parse("trials", 1u32)?,
-        seed: opts.flag_parse("seed", 1u64)?,
-        msr: 0,
-        names: CAMPAIGN_APPS.iter().map(|s| s.to_string()).collect(),
-    };
-    let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
-
-    let mut wall_s = Vec::with_capacity(CAMPAIGN_WORKERS.len());
-    let mut csv: Option<String> = None;
-    for &workers in &CAMPAIGN_WORKERS {
-        let dir = std::env::temp_dir().join(format!(
-            "cochar-bench-campaign-{}-{workers}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = cochar_store::RunStore::open(&dir).map_err(|e| e.to_string())?;
-        let study = spec.build_study(Some(store))?;
-        let cfg = FabricConfig {
-            workers,
-            worker_cmd: Some(WorkerCmd { exe: exe.clone(), args: vec!["fabric".into(), "work".into()] }),
-            ..FabricConfig::default()
+    /// Pinning an entry must carry the frozen `campaign` section forward
+    /// byte for byte: perfbench reads its `csv_hash` and nothing else
+    /// writes it.
+    #[test]
+    fn pin_entry_carries_the_campaign_section_forward() {
+        let text = include_str!("../../../../BENCH_engine.json");
+        let existing = Json::parse(text).expect("BENCH_engine.json parses");
+        let campaign = existing.field("campaign").expect("campaign section").render();
+        let m = Measured {
+            solo_wall_s: 2.0,
+            pair_wall_s: 4.0,
+            solo_sim_cycles: 10,
+            pair_sim_cycles: 20,
+            outcome_hash: "0123456789abcdef".into(),
         };
-        let outcome = run_campaign(&study, &spec, &cfg, |_, _| {})?;
-        drop(study);
-        let _ = std::fs::remove_dir_all(&dir);
-        if let Some(f) = outcome.failures.first() {
-            return Err(format!(
-                "campaign cell {} failed at {workers} worker(s): {}",
-                f.spec, f.cause
-            ));
-        }
-        let this_csv = outcome.heatmap.to_csv();
-        match &csv {
-            None => csv = Some(this_csv),
-            Some(first) if *first != this_csv => {
-                return Err(format!(
-                    "campaign CSV differs between 1 and {workers} worker(s): \
-                     the sweep is nondeterministic"
-                ));
-            }
-            Some(_) => {}
-        }
-        wall_s.push(round3(outcome.pair_wall.as_secs_f64()));
+        let doc = pin_entry(&Opts::default(), Some(existing.clone()), &m, "unit").expect("pins");
+        assert_eq!(doc.field("campaign").expect("campaign carried").render(), campaign);
+        let entries = entries_of(&doc).expect("entries");
+        assert_eq!(entries.len(), entries_of(&existing).expect("entries").len() + 1);
+        let id = entries.last().and_then(|e| e.get("id")).and_then(|id| id.as_str().ok());
+        assert_eq!(id, Some("unit"));
     }
-    let mut hasher = StableHasher::new();
-    hasher.write_str(csv.as_deref().unwrap_or(""));
-    Ok(CampaignMeasured {
-        wall_s,
-        csv_hash: format!("{:016x}", hasher.finish()),
-        host_cpus,
-    })
-}
-
-fn campaign_json(opts: &Opts, m: &CampaignMeasured, id: &str) -> Result<Json, String> {
-    Ok(Json::Obj(vec![
-        ("id".into(), Json::str(id)),
-        ("apps".into(), Json::Arr(CAMPAIGN_APPS.iter().map(|a| Json::str(*a)).collect())),
-        ("cells".into(), Json::u64(CAMPAIGN_APPS.len().pow(2) as u64)),
-        (
-            "workers".into(),
-            Json::Arr(CAMPAIGN_WORKERS.iter().map(|&w| Json::u64(w as u64)).collect()),
-        ),
-        ("work".into(), Json::f64(opts.flag_parse("work", DEFAULT_WORK)?)),
-        ("host_cpus".into(), Json::u64(m.host_cpus)),
-        ("wall_s".into(), Json::Arr(m.wall_s.iter().map(|&w| Json::f64(w)).collect())),
-        (
-            "cells_per_sec".into(),
-            Json::Arr((0..CAMPAIGN_WORKERS.len()).map(|i| Json::f64(m.cells_per_sec(i))).collect()),
-        ),
-        ("speedup_2w".into(), Json::f64(m.speedup(2).unwrap_or(0.0))),
-        ("speedup_4w".into(), Json::f64(m.speedup(4).unwrap_or(0.0))),
-        ("speedup_8w".into(), Json::f64(m.speedup(8).unwrap_or(0.0))),
-        ("csv_hash".into(), Json::str(&m.csv_hash)),
-    ]))
-}
-
-/// Sets (or replaces) the document's `campaign` section, preserving the
-/// engine-throughput entries and checking parameter comparability.
-fn pin_campaign(
-    opts: &Opts,
-    existing: Option<Json>,
-    m: &CampaignMeasured,
-    id: &str,
-) -> Result<Json, String> {
-    let params = params_json(opts)?;
-    let entries = match &existing {
-        Some(doc) => {
-            for (key, want) in &params {
-                let found = doc.field(key).map_err(|e| format!("bench file: {e}"))?;
-                if found.render() != want.render() {
-                    return Err(format!(
-                        "bench file was pinned with {key}={}, this run uses {}; \
-                         delete the file to start a new trajectory",
-                        found.render(),
-                        want.render()
-                    ));
-                }
-            }
-            entries_of(doc)?
-        }
-        None => Vec::new(),
-    };
-    let mut pairs = vec![("schema".into(), Json::str(SCHEMA))];
-    pairs.extend(params);
-    pairs.push(("entries".into(), Json::Arr(entries)));
-    pairs.push(("campaign".into(), campaign_json(opts, m, id)?));
-    Ok(Json::Obj(pairs))
-}
-
-/// Checks a fresh campaign measurement against the pinned section: the
-/// CSV hash must match exactly (exit 4 on drift — the sweep's semantics
-/// changed), and on hosts with >= 4 CPUs the 4-worker speedup must reach
-/// 3x (exit 5). Single-core hosts can only verify determinism, so the
-/// speedup gate is recorded but not enforced there.
-fn check_campaign(pinned: &Json, m: &CampaignMeasured) -> Result<ExitCode, String> {
-    let id = pinned.get("id").and_then(|v| v.as_str().ok()).unwrap_or("?").to_string();
-    let want_hash =
-        pinned.field("csv_hash").and_then(|v| v.as_str()).map_err(|e| e.to_string())?;
-    if want_hash != m.csv_hash {
-        eprintln!(
-            "bench: CAMPAIGN DETERMINISM MISMATCH vs {id:?}: pinned csv hash {want_hash}, \
-             measured {}",
-            m.csv_hash
-        );
-        eprintln!("bench: the sweep's measurement semantics changed; re-pin deliberately");
-        return Ok(ExitCode::from(4));
-    }
-    if m.host_cpus >= 4 {
-        let s = m.speedup(4).unwrap_or(0.0);
-        if s < 3.0 {
-            eprintln!(
-                "bench: CAMPAIGN SCALING REGRESSION vs {id:?}: {s:.2}x at 4 workers \
-                 (need >= 3.00x on a {}-cpu host)",
-                m.host_cpus
-            );
-            return Ok(ExitCode::from(5));
-        }
-        println!("bench: campaign OK vs {id:?}: csv hash matches, {s:.2}x at 4 workers");
-    } else {
-        println!(
-            "bench: campaign OK vs {id:?}: csv hash matches \
-             (speedup gate skipped: host has {} cpu(s))",
-            m.host_cpus
-        );
-    }
-    Ok(ExitCode::SUCCESS)
 }

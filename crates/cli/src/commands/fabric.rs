@@ -88,7 +88,6 @@ fn coordinate(opts: &Opts, workers: usize, bind: &str) -> Result<ExitCode, Strin
     let cfg = FabricConfig {
         workers,
         bind: bind.to_string(),
-        lease_cells: opts.flag_parse("lease-cells", 1usize)?,
         lease_timeout: Duration::from_millis(opts.flag_parse("lease-timeout-ms", 30_000u64)?),
         policy: SweepPolicy {
             max_retries: opts.flag_parse("max-retries", 0u32)?,
@@ -186,7 +185,7 @@ fn work(opts: &Opts) -> Result<ExitCode, String> {
         cfg.pin_cpu = Some(cpu.parse().map_err(|_| format!("invalid --pin-cpu {cpu:?}"))?);
     }
     if let Ok(cell) = std::env::var("COCHAR_CHAOS_CELL") {
-        cfg.chaos_cell = Some(parse_chaos_cell(&cell)?);
+        cfg.chaos_cell = Some(crate::parse_chaos_cell(&cell)?);
         eprintln!("chaos: worker {} armed cell {cell}", cfg.label);
     }
     if let Ok(spec) = std::env::var("COCHAR_CHAOS_WORKER") {
@@ -205,28 +204,10 @@ fn work(opts: &Opts) -> Result<ExitCode, String> {
             ms.parse().map_err(|_| format!("invalid --connect-retry-ms {ms:?}"))?;
         cfg.connect_retry = Duration::from_millis(ms);
     }
-    cfg.max_reconnects = opts.flag_parse("max-reconnects", cfg.max_reconnects)?;
     let summary = run_worker(&cfg)?;
     eprintln!(
         "fabric: worker {} done ({} lease(s), {} cell(s), {} panic(s), {} reconnect(s))",
         cfg.label, summary.leases, summary.cells, summary.panics, summary.reconnects
     );
     Ok(ExitCode::SUCCESS)
-}
-
-/// Same grammar as the coordinator's `COCHAR_CHAOS_CELL`: `fg/bg[@N]`.
-fn parse_chaos_cell(spec: &str) -> Result<(String, String, u32), String> {
-    let (pair, succeed_from) = match spec.split_once('@') {
-        Some((pair, n)) => {
-            let n: u32 = n
-                .parse()
-                .map_err(|_| format!("COCHAR_CHAOS_CELL: bad attempt threshold {n:?}"))?;
-            (pair, n)
-        }
-        None => (spec, u32::MAX),
-    };
-    let (fg, bg) = pair
-        .split_once('/')
-        .ok_or_else(|| format!("COCHAR_CHAOS_CELL: expected fg/bg[@N], got {spec:?}"))?;
-    Ok((fg.to_string(), bg.to_string(), succeed_from))
 }

@@ -54,12 +54,11 @@ commands:
   heatmap <apps...>            pairwise matrix + classification [--csv FILE]
   sweep <apps...>              heatmap sharded over N worker processes
                                [--workers N (default: host CPUs)]
-                               [--lease-cells K] [--lease-timeout-ms T]
+                               [--lease-timeout-ms T]
                                (CSV is byte-identical to `heatmap`)
   fabric serve <apps...>       coordinator only [--bind HOST:PORT] [--workers N]
   fabric work --connect ADDR   worker only [--worker-store DIR] [--label L]
                                [--pin-cpu N] [--connect-retry-ms T (default 5000)]
-                               [--max-reconnects N (default 8)]
   scalability <app>            1..N thread sweep [--max-threads N]
   prefetch <app>               prefetcher sensitivity [--breakdown]
   bubble <app>                 Bubble-Up pressure sensitivity curve
@@ -218,14 +217,17 @@ pub(crate) fn build_study(opts: &Opts, default_work: f64) -> Result<Study, Strin
         return Err("--resume and --no-cache require --store DIR".into());
     }
     if let Ok(cell) = std::env::var("COCHAR_CHAOS_CELL") {
-        study = arm_chaos_cell(study, &cell)?;
+        let (fg, bg, succeed_from) = parse_chaos_cell(&cell)?;
+        eprintln!("chaos: cell {fg}/{bg} armed (succeeds from attempt {succeed_from})");
+        study = study.with_chaos_cell(&fg, &bg, succeed_from);
     }
     Ok(study)
 }
 
-/// Parses `COCHAR_CHAOS_CELL="fg/bg[@N]"`: the named pair cell panics on
-/// attempts below `N` (omitted `N` means the cell always panics).
-fn arm_chaos_cell(study: Study, spec: &str) -> Result<Study, String> {
+/// Parses `COCHAR_CHAOS_CELL="fg/bg[@N]"` into `(fg, bg, N)`: the named
+/// pair cell panics on attempts below `N` (omitted `N` means the cell
+/// always panics). The coordinator's study and every worker arm it.
+pub(crate) fn parse_chaos_cell(spec: &str) -> Result<(String, String, u32), String> {
     let (pair, succeed_from) = match spec.split_once('@') {
         Some((pair, n)) => {
             let n: u32 = n
@@ -238,6 +240,5 @@ fn arm_chaos_cell(study: Study, spec: &str) -> Result<Study, String> {
     let (fg, bg) = pair
         .split_once('/')
         .ok_or_else(|| format!("COCHAR_CHAOS_CELL: expected fg/bg[@N], got {spec:?}"))?;
-    eprintln!("chaos: cell {fg}/{bg} armed (succeeds from attempt {succeed_from})");
-    Ok(study.with_chaos_cell(fg, bg, succeed_from))
+    Ok((fg.to_string(), bg.to_string(), succeed_from))
 }

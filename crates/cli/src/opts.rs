@@ -16,14 +16,14 @@ pub struct Opts {
 }
 
 /// Flags that take a value (everything else is a boolean switch).
-const VALUED: [&str; 41] = [
+const VALUED: [&str; 39] = [
     "machine", "work", "threads", "trials", "seed", "csv", "policy", "pads", "max-threads",
     "train-frac", "train-apps", "lambda", "json", "store", "max-retries",
     // bench flags
     "pin", "tolerance", "reps",
     // fabric flags
-    "workers", "bind", "connect", "lease-cells", "lease-timeout-ms", "worker-store",
-    "label", "pin-cpu", "connect-retry-ms", "max-reconnects",
+    "workers", "bind", "connect", "lease-timeout-ms", "worker-store", "label", "pin-cpu",
+    "connect-retry-ms",
     // cluster scenario flags
     "nodes", "slots", "jobs", "rate", "util", "qos", "slo", "compose", "knowledge",
     "trace", "trace-out", "defrag-period", "mean-work",

@@ -11,7 +11,7 @@
 //! | event | what the machine does |
 //! |---|---|
 //! | `claim` | answer a foreign fingerprint with `done`; fold the worker's fault count (a high-water mark per worker id); count a first claim as a worker or a reconnect; reply `lease`, `wait`, or `done` |
-//! | `result` | drop the connection if the cell is outside the campaign; strike the cell off its lease; settle it in the book (a stale or repeated attempt is a duplicate); reply `ack` |
+//! | `result` | drop the connection if the cell is outside the campaign; end the lease that named it; settle it in the book (a stale or repeated attempt is a duplicate); reply `ack` |
 //! | `heartbeat` | push the lease's deadline `lease_timeout` past now |
 //! | `disconnect` | log the fault that ended the connection; release its leases |
 //! | `merged` | count the records merged; log refused records and the first store error |
@@ -24,9 +24,10 @@
 //! | progress | ticks `on_cell(settled, total)` |
 //! | abort | ends the campaign with the stall error, naming the last worker fault |
 //!
-//! A released lease hands its live claims back to the book at the same
-//! attempt; a cell whose lease is lost more than five times fails with a
-//! delivery error instead of cycling forever.
+//! A lease names one cell. A released lease hands its claim back to the
+//! book at the same attempt if the claim is still live; a cell whose
+//! lease is lost more than five times fails with a delivery error
+//! instead of cycling forever.
 //!
 //! The driver is an accept loop, one thread per connection — which
 //! writes `hello`, turns frames into events, merges a result's journal
@@ -82,8 +83,6 @@ pub struct FabricConfig {
     pub workers: usize,
     /// Listen address (`127.0.0.1:0` for an ephemeral local port).
     pub bind: String,
-    /// Cells per lease.
-    pub lease_cells: usize,
     /// Lease lifetime; heartbeats extend it.
     pub lease_timeout: Duration,
     /// Retry policy for panicking cells (same semantics as the
@@ -113,7 +112,6 @@ impl Default for FabricConfig {
         FabricConfig {
             workers: 0,
             bind: "127.0.0.1:0".into(),
-            lease_cells: 1,
             lease_timeout: Duration::from_secs(30),
             policy: SweepPolicy::default(),
             worker_cmd: None,

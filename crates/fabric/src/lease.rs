@@ -33,7 +33,7 @@ pub(crate) type Conn = u64;
 pub(crate) enum Event {
     /// A worker on `conn` asks for work.
     Claim { conn: Conn, fp: u64, worker: String, id: u64, session: u32, faults: u64 },
-    /// A worker reports one cell of a lease.
+    /// A worker reports its lease's cell.
     Result { lease: u64, cell: WireCell, outcome: CellOutcome },
     /// A worker keeps a lease alive.
     Heartbeat { lease: u64 },
@@ -65,8 +65,8 @@ pub(crate) enum Action {
 struct Lease {
     conn: Conn,
     deadline: Duration,
-    /// The book's `(index, attempt)` claims still unreported.
-    cells: Vec<(usize, u32)>,
+    /// The book's `(index, attempt)` claim on the leased cell.
+    claim: (usize, u32),
 }
 
 /// The coordinator's campaign state (see the module docs).
@@ -75,7 +75,6 @@ pub(crate) struct Machine {
     /// Applications in the campaign; cell `i` is `(i / names, i % names)`.
     names: usize,
     fp: u64,
-    lease_cells: usize,
     lease_timeout: Duration,
     stall_timeout: Duration,
     /// Leases lost so far, per cell.
@@ -103,7 +102,6 @@ impl Machine {
             book: CellBook::new(total, cfg.policy),
             names,
             fp,
-            lease_cells: cfg.lease_cells.max(1),
             lease_timeout: cfg.lease_timeout,
             stall_timeout: cfg.stall_timeout,
             issues: vec![0; total],
@@ -229,31 +227,27 @@ impl Machine {
         }
     }
 
-    /// The reply to a claim: a lease of up to `lease_cells` claims,
-    /// `wait` while every unsettled cell is in flight, or `done`.
+    /// The reply to a claim: a lease of the book's next claim, `wait`
+    /// while every unsettled cell is in flight, or `done`.
     fn lease_for(&mut self, conn: Conn, now: Duration) -> Msg {
         if self.done() {
             return Msg::Done;
         }
-        let cells: Vec<(usize, u32)> =
-            std::iter::from_fn(|| self.book.claim()).take(self.lease_cells).collect();
-        if cells.is_empty() {
+        let Some((idx, attempt)) = self.book.claim() else {
             return Msg::Wait { ms: WAIT_MS };
-        }
-        let wire = cells
-            .iter()
-            .map(|&(idx, attempt)| WireCell {
-                fg: idx / self.names,
-                bg: idx % self.names,
-                attempt,
-                issue: self.issues[idx],
-            })
-            .collect();
+        };
+        let cell = WireCell {
+            fg: idx / self.names,
+            bg: idx % self.names,
+            attempt,
+            issue: self.issues[idx],
+        };
         let id = self.next_lease;
         self.next_lease += 1;
-        self.leases.insert(id, Lease { conn, deadline: now + self.lease_timeout, cells });
+        let deadline = now + self.lease_timeout;
+        self.leases.insert(id, Lease { conn, deadline, claim: (idx, attempt) });
         self.ledger.leases_issued += 1;
-        Msg::Lease { id, deadline_ms: self.lease_timeout.as_millis() as u64, cells: wire }
+        Msg::Lease { id, deadline_ms: self.lease_timeout.as_millis() as u64, cell }
     }
 
     fn result(
@@ -278,13 +272,10 @@ impl Machine {
             return;
         };
         self.last_activity = now;
-        // The lease may be gone already (it expired and its cells were
+        // The lease may be gone already (it expired and its cell was
         // released); a late result still counts if its attempt does.
-        if let Some(l) = self.leases.get_mut(&lease) {
-            l.cells.retain(|&(i, _)| i != idx);
-            if l.cells.is_empty() {
-                self.leases.remove(&lease);
-            }
+        if self.leases.get(&lease).is_some_and(|l| l.claim.0 == idx) {
+            self.leases.remove(&lease);
         }
         let outcome = match outcome {
             CellOutcome::Value { value, status } => Ok((value, status)),
@@ -349,25 +340,23 @@ impl Machine {
         }
     }
 
-    /// Hands a lost lease's live claims back to the book, failing cells
-    /// past their issue budget.
+    /// Hands a lost lease's claim back to the book if it is still live,
+    /// failing the cell past its issue budget.
     fn release(&mut self, lease: u64, out: &mut Vec<Action>) {
-        let Some(lease) = self.leases.remove(&lease) else { return };
+        let Some(Lease { claim: (idx, attempt), .. }) = self.leases.remove(&lease) else { return };
         self.ledger.leases_reissued += 1;
-        for (idx, attempt) in lease.cells {
-            if !self.book.is_current(idx, attempt) {
-                continue;
-            }
-            self.issues[idx] += 1;
-            let issue = self.issues[idx];
-            if issue <= MAX_ISSUES {
-                self.book.release(idx, attempt);
-                continue;
-            }
-            let cause = format!("lease lost {issue} times without a result (workers dying?)");
-            if let Settled::Final { done } = self.book.fail(idx, cause, attempt) {
-                out.push(Action::Progress { settled: done, total: self.book.total() });
-            }
+        if !self.book.is_current(idx, attempt) {
+            return;
+        }
+        self.issues[idx] += 1;
+        let issue = self.issues[idx];
+        if issue <= MAX_ISSUES {
+            self.book.release(idx, attempt);
+            return;
+        }
+        let cause = format!("lease lost {issue} times without a result (workers dying?)");
+        if let Settled::Final { done } = self.book.fail(idx, cause, attempt) {
+            out.push(Action::Progress { settled: done, total: self.book.total() });
         }
     }
 }
@@ -384,9 +373,8 @@ mod tests {
 
     const FP: u64 = 0xf00d;
 
-    fn config(policy: SweepPolicy, lease_cells: usize) -> FabricConfig {
+    fn config(policy: SweepPolicy) -> FabricConfig {
         FabricConfig {
-            lease_cells,
             lease_timeout: Duration::from_millis(100),
             stall_timeout: Duration::from_millis(1000),
             policy,
@@ -402,10 +390,10 @@ mod tests {
         Event::Claim { conn, fp: FP, worker: "worker".into(), id, session, faults }
     }
 
-    /// Claims on `conn` at `now` and returns the lease id and cells.
-    fn take_lease(m: &mut Machine, conn: Conn, now: Duration) -> (u64, Vec<WireCell>) {
+    /// Claims on `conn` at `now` and returns the lease id and cell.
+    fn take_lease(m: &mut Machine, conn: Conn, now: Duration) -> (u64, WireCell) {
         match m.on(claim(conn, conn, 0, 0), now).pop() {
-            Some(Action::Reply(Msg::Lease { id, cells, .. })) => (id, cells),
+            Some(Action::Reply(Msg::Lease { id, cell, .. })) => (id, cell),
             other => panic!("expected a lease, got {other:?}"),
         }
     }
@@ -416,7 +404,7 @@ mod tests {
 
     #[test]
     fn a_foreign_fingerprint_is_dismissed_with_done() {
-        let mut m = Machine::new(2, FP, &config(SweepPolicy::default(), 1));
+        let mut m = Machine::new(2, FP, &config(SweepPolicy::default()));
         let event = Event::Claim {
             conn: 1,
             fp: FP ^ 1,
@@ -431,9 +419,9 @@ mod tests {
 
     #[test]
     fn an_out_of_range_result_drops_the_connection_with_a_wire_fault() {
-        let mut m = Machine::new(1, FP, &config(SweepPolicy::default(), 1));
-        let (lease, cells) = take_lease(&mut m, 1, ms(0));
-        let bogus = WireCell { fg: 0, bg: 1, ..cells[0] };
+        let mut m = Machine::new(1, FP, &config(SweepPolicy::default()));
+        let (lease, cell) = take_lease(&mut m, 1, ms(0));
+        let bogus = WireCell { fg: 0, bg: 1, ..cell };
         let actions = m.on(Event::Result { lease, cell: bogus, outcome: value(9.99) }, ms(1));
         match actions.as_slice() {
             [Action::Drop { fault }] => {
@@ -446,12 +434,12 @@ mod tests {
         // lease: its cell is leased again, unsettled by the bogus value.
         m.on(Event::Disconnect { conn: 1, cause: None }, ms(2));
         assert_eq!(m.ledger().leases_reissued, 1);
-        assert_eq!(take_lease(&mut m, 2, ms(3)).1, vec![WireCell { issue: 1, ..cells[0] }]);
+        assert_eq!(take_lease(&mut m, 2, ms(3)).1, WireCell { issue: 1, ..cell });
     }
 
     #[test]
     fn a_heartbeat_extends_the_lease_deadline() {
-        let mut m = Machine::new(2, FP, &config(SweepPolicy::default(), 1));
+        let mut m = Machine::new(2, FP, &config(SweepPolicy::default()));
         let (lease, _) = take_lease(&mut m, 1, ms(0));
         m.on(Event::Heartbeat { lease }, ms(80));
         m.on(Event::Tick, ms(150));
@@ -462,7 +450,7 @@ mod tests {
 
     #[test]
     fn the_stall_abort_names_the_last_worker_fault() {
-        let mut m = Machine::new(2, FP, &config(SweepPolicy::default(), 1));
+        let mut m = Machine::new(2, FP, &config(SweepPolicy::default()));
         take_lease(&mut m, 1, ms(0));
         // A second worker's first frame is corrupt; the first goes silent
         // holding its lease.
@@ -486,7 +474,7 @@ mod tests {
 
     #[test]
     fn workers_sharing_a_label_count_their_faults_apart() {
-        let mut m = Machine::new(2, FP, &config(SweepPolicy::default(), 1));
+        let mut m = Machine::new(2, FP, &config(SweepPolicy::default()));
         // Two default-labelled workers, different ids.
         m.on(claim(1, 11, 0, 2), ms(0));
         m.on(claim(2, 22, 0, 3), ms(0));
@@ -502,15 +490,15 @@ mod tests {
     #[test]
     fn a_stale_panic_result_is_a_duplicate_and_costs_no_issue_budget() {
         let policy = SweepPolicy { max_retries: 1, keep_going: true };
-        let mut m = Machine::new(1, FP, &config(policy, 1));
-        let (first, cells) = take_lease(&mut m, 1, ms(0));
+        let mut m = Machine::new(1, FP, &config(policy));
+        let (first, cell) = take_lease(&mut m, 1, ms(0));
         // The lease expires; the cell is leased again at the same attempt.
         m.on(Event::Tick, ms(101));
         take_lease(&mut m, 2, ms(102));
         // The first holder reports late, twice (a duplicated frame): its
         // panic counts once and moves the cell on to attempt 1.
         let panic = CellOutcome::Panic { cause: "boom".into() };
-        let report = Event::Result { lease: first, cell: cells[0], outcome: panic };
+        let report = Event::Result { lease: first, cell, outcome: panic };
         m.on(report.clone(), ms(103));
         m.on(report, ms(104));
         assert_eq!((m.ledger().cell_retries, m.ledger().results_duplicate), (1, 1));
@@ -519,12 +507,12 @@ mod tests {
         m.on(Event::Disconnect { conn: 2, cause: None }, ms(105));
         assert_eq!(m.ledger().leases_reissued, 2);
         let (_, retry) = take_lease(&mut m, 3, ms(106));
-        assert_eq!(retry, vec![WireCell { attempt: 1, issue: 1, ..cells[0] }]);
+        assert_eq!(retry, WireCell { attempt: 1, issue: 1, ..cell });
     }
 
     #[test]
     fn merge_reports_count_and_their_faults_are_remembered() {
-        let mut m = Machine::new(1, FP, &config(SweepPolicy::default(), 1));
+        let mut m = Machine::new(1, FP, &config(SweepPolicy::default()));
         let rejected = vec!["checksum mismatch".to_string()];
         m.on(Event::Merged { added: 2, duplicates: 1, rejected, error: None }, ms(0));
         assert!(!m.store_failed());
@@ -541,7 +529,7 @@ mod tests {
 
     #[test]
     fn a_cell_losing_too_many_leases_fails_with_a_delivery_error() {
-        let mut m = Machine::new(1, FP, &config(SweepPolicy::default(), 1));
+        let mut m = Machine::new(1, FP, &config(SweepPolicy::default()));
         for conn in 0..=u64::from(MAX_ISSUES) {
             take_lease(&mut m, conn, ms(conn));
             m.on(Event::Disconnect { conn, cause: None }, ms(conn));
@@ -591,7 +579,7 @@ mod tests {
         Connect,
         Claim,
         Ack,
-        /// Backing off after `wait`, or computing the next leased cell.
+        /// Backing off after `wait`, or computing the leased cell.
         Nothing,
         Dismissed,
     }
@@ -603,7 +591,8 @@ mod tests {
         awaiting: Await,
         /// Reply deadline, back-off end, or reconnect time.
         until: Duration,
-        lease: Option<(u64, VecDeque<WireCell>)>,
+        /// The lease held from its receipt until its result is acked.
+        lease: Option<(u64, WireCell)>,
         /// The result sent but not acknowledged, resent on reconnect.
         pending: Option<(u64, WireCell, CellOutcome)>,
         /// Corrupt frames this worker has read.
@@ -612,8 +601,8 @@ mod tests {
         inbox: VecDeque<Payload>,
     }
 
-    /// An outstanding lease in the oracle: holder, deadline, claims.
-    type Held = (Conn, Duration, Vec<(usize, u32)>);
+    /// An outstanding lease in the oracle: holder, deadline, claim.
+    type Held = (Conn, Duration, (usize, u32));
 
     /// The schedule's own account of the lease rules, checked against
     /// the machine's ledger and results.
@@ -638,17 +627,16 @@ mod tests {
         }
 
         fn lose(&mut self, lease: u64) {
-            let (_, _, cells) = self.leases.remove(&lease).expect("lost lease is outstanding");
+            let (_, _, (idx, attempt)) =
+                self.leases.remove(&lease).expect("lost lease is outstanding");
             self.reissued += 1;
-            for (idx, attempt) in cells {
-                if self.settled[idx] || self.current[idx] != attempt {
-                    continue;
-                }
-                self.issues[idx] += 1;
-                if self.issues[idx] > MAX_ISSUES {
-                    self.settled[idx] = true;
-                    self.delivery_failed[idx] = true;
-                }
+            if self.settled[idx] || self.current[idx] != attempt {
+                return;
+            }
+            self.issues[idx] += 1;
+            if self.issues[idx] > MAX_ISSUES {
+                self.settled[idx] = true;
+                self.delivery_failed[idx] = true;
             }
         }
 
@@ -735,11 +723,8 @@ mod tests {
                 Event::Result { lease, cell, outcome } => {
                     o.last_activity = now;
                     let idx = cell.fg * self.n + cell.bg;
-                    if let Some((_, _, cells)) = o.leases.get_mut(lease) {
-                        cells.retain(|&(i, _)| i != idx);
-                        if cells.is_empty() {
-                            o.leases.remove(lease);
-                        }
+                    if o.leases.get(lease).is_some_and(|held| held.2 .0 == idx) {
+                        o.leases.remove(lease);
                     }
                     if o.settled[idx] || o.current[idx] != cell.attempt {
                         o.duplicates += 1;
@@ -774,8 +759,8 @@ mod tests {
             for action in actions {
                 match action {
                     Action::Reply(msg) => {
-                        if let Msg::Lease { id, ref cells, .. } = msg {
-                            self.issued(conn, id, cells);
+                        if let Msg::Lease { id, cell, .. } = msg {
+                            self.issued(conn, id, cell);
                         }
                         let done = msg == Msg::Done;
                         self.send(conn, Payload::ToWorker(msg));
@@ -792,21 +777,17 @@ mod tests {
             }
         }
 
-        fn issued(&mut self, conn: Conn, id: u64, cells: &[WireCell]) {
+        fn issued(&mut self, conn: Conn, id: u64, c: WireCell) {
             let o = &mut self.oracle;
             o.issued += 1;
-            let mut claims = Vec::new();
-            for c in cells {
-                let idx = c.fg * self.n + c.bg;
-                assert!(!o.settled[idx], "settled cell {idx} leased");
-                assert_eq!(c.attempt, o.current[idx], "cell {idx} leased at a stale attempt");
-                assert_eq!(c.issue, o.issues[idx], "cell {idx} issue count");
-                let live = |(_, _, cl): &Held| cl.contains(&(idx, c.attempt));
-                assert!(!o.leases.values().any(live), "claim ({idx}, {}) leased twice", c.attempt);
-                self.max_leased[idx] = self.max_leased[idx].max(c.attempt);
-                claims.push((idx, c.attempt));
-            }
-            o.leases.insert(id, (conn, self.now + self.lease_timeout, claims));
+            let idx = c.fg * self.n + c.bg;
+            assert!(!o.settled[idx], "settled cell {idx} leased");
+            assert_eq!(c.attempt, o.current[idx], "cell {idx} leased at a stale attempt");
+            assert_eq!(c.issue, o.issues[idx], "cell {idx} issue count");
+            let claim = (idx, c.attempt);
+            assert!(!o.leases.values().any(|held| held.2 == claim), "claim {claim:?} leased twice");
+            self.max_leased[idx] = self.max_leased[idx].max(c.attempt);
+            o.leases.insert(id, (conn, self.now + self.lease_timeout, claim));
         }
 
         fn tick(&mut self) {
@@ -889,27 +870,18 @@ mod tests {
                     None if self.now > self.workers[w].until => self.hang_up(w),
                     None => {}
                 },
-                Await::Nothing if self.now >= wk.until => {
-                    let next = self.workers[w]
-                        .lease
-                        .as_mut()
-                        .and_then(|(id, cells)| cells.pop_front().map(|cell| (*id, cell)));
-                    match next {
-                        Some((lease, cell)) => {
-                            let idx = cell.fg * self.n + cell.bg;
-                            let outcome = match cell_fn(self.seed, idx, cell.attempt) {
-                                Ok((value, status)) => CellOutcome::Value { value, status },
-                                Err(cause) => CellOutcome::Panic { cause },
-                            };
-                            self.workers[w].pending = Some((lease, cell, outcome));
-                            self.send_result(w);
-                        }
-                        None => {
-                            self.workers[w].lease = None;
-                            self.send_claim(w);
-                        }
+                Await::Nothing if self.now >= wk.until => match wk.lease {
+                    Some((lease, cell)) => {
+                        let idx = cell.fg * self.n + cell.bg;
+                        let outcome = match cell_fn(self.seed, idx, cell.attempt) {
+                            Ok((value, status)) => CellOutcome::Value { value, status },
+                            Err(cause) => CellOutcome::Panic { cause },
+                        };
+                        self.workers[w].pending = Some((lease, cell, outcome));
+                        self.send_result(w);
                     }
-                }
+                    None => self.send_claim(w),
+                },
                 _ => {}
             }
         }
@@ -927,11 +899,12 @@ mod tests {
                 (Payload::ToWorker(Msg::Ack), Await::Claim) => {} // a stray ack
                 (Payload::ToWorker(Msg::Ack), Await::Ack) => {
                     self.workers[w].pending = None;
+                    self.workers[w].lease = None;
                     self.workers[w].awaiting = Await::Nothing;
                     self.workers[w].until = self.now;
                 }
-                (Payload::ToWorker(Msg::Lease { id, cells, .. }), Await::Claim) => {
-                    self.workers[w].lease = Some((id, cells.into()));
+                (Payload::ToWorker(Msg::Lease { id, cell, .. }), Await::Claim) => {
+                    self.workers[w].lease = Some((id, cell));
                     self.workers[w].awaiting = Await::Nothing;
                     self.workers[w].until = self.now;
                 }
@@ -1018,9 +991,9 @@ mod tests {
     }
 
     /// Runs one seeded hostile campaign to its end and checks it.
-    fn simulate(seed: u64, n: usize, workers: usize, max_retries: u32, lease_cells: usize) {
+    fn simulate(seed: u64, n: usize, workers: usize, max_retries: u32) {
         let policy = SweepPolicy { max_retries, keep_going: true };
-        let mut cfg = config(policy, lease_cells);
+        let mut cfg = config(policy);
         cfg.stall_timeout = ms(2000);
         let total = n * n;
         let mut rng = proptest::TestRng::from_label(&format!("sim {seed}"));
@@ -1126,9 +1099,8 @@ mod tests {
             n in 1usize..5,
             workers in 1usize..5,
             max_retries in 0u32..4,
-            lease_cells in 1usize..4,
         ) {
-            simulate(seed, n, workers, max_retries, lease_cells);
+            simulate(seed, n, workers, max_retries);
         }
     }
 }

@@ -22,13 +22,13 @@
 //!   (machine preset, work scale, threads, trials, seed, MSR, app names),
 //!   fingerprinted so a worker can refuse a coordinator it does not match.
 //! * [`wire`] — the length-prefixed JSON frame protocol
-//!   (`claim → lease{cells, deadline} → result|heartbeat → ack`).
+//!   (`claim → lease{cell, deadline} → result|heartbeat → ack`).
 //! * [`coord`] — the coordinator: a pure lease machine that makes every
 //!   campaign decision, driven over TCP by an accept loop, one thread per
 //!   worker connection, and a clock tick that also respawns local workers.
 //! * [`worker`] — the worker loop: connect (with retry), claim, compute
-//!   each leased cell under panic isolation, stream journal records back,
-//!   and reconnect through connection loss.
+//!   the leased cell under panic isolation, stream its journal records
+//!   back, and reconnect through connection loss.
 //! * [`recover`] — coordinator crash recovery: durable campaign metadata
 //!   and a per-run ledger log beside the store, consumed by `--resume`.
 //! * [`chaos`] — wire-level fault injection ([`WirePlan`], armed from

@@ -10,7 +10,7 @@
 //! ```text
 //! C→W  hello     {t, fp, lease_ms, campaign{machine,work,threads,trials,seed,msr,names}, solo:[line...]}
 //! W→C  claim     {t, fp, worker, id, session, faults}
-//! C→W  lease     {t, id, deadline_ms, cells:[{fg,bg,attempt,issue}...]}
+//! C→W  lease     {t, id, deadline_ms, cell{fg,bg,attempt,issue}}
 //!      | wait    {t, ms}
 //!      | done    {t}
 //! W→C  result    {t, lease, cell{...}, ok, value?, status?, panic?, records:[line...]}
@@ -24,6 +24,10 @@
 //! `faults` is the worker's cumulative count of wire protocol errors it
 //! has observed; the coordinator keeps one high-water mark of it per
 //! `id`, so its ledger sees both sides of every link.
+//!
+//! Integer fields are decoded at their declared width: a value that does
+//! not fit (an `attempt` of 2³², say) is a protocol error, never
+//! truncated into a different, plausible message.
 //!
 //! `solo` and `records` carry journal lines exactly as
 //! [`cochar_store::journal::render_record`] produced them — checksummed
@@ -87,7 +91,7 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// One cell inside a lease: heatmap coordinates into the campaign's name
+/// The cell of a lease: heatmap coordinates into the campaign's name
 /// list, the supervisor retry attempt, and the delivery issue count
 /// (how many leases for this cell were lost before this one).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,14 +155,14 @@ pub enum Msg {
         /// folded into the coordinator's ledger.
         faults: u64,
     },
-    /// A batch of cells with a deadline.
+    /// One cell to compute, with a deadline.
     Lease {
         /// Lease id (echoed in results and heartbeats).
         id: u64,
         /// Lease duration from receipt, in ms.
         deadline_ms: u64,
-        /// The cells to compute.
-        cells: Vec<WireCell>,
+        /// The cell to compute.
+        cell: WireCell,
     },
     /// No work right now; ask again in `ms`.
     Wait {
@@ -225,6 +229,13 @@ impl<'a> Fields<'a> {
         self.get(k)?.as_u64().map_err(|e| e.to_string())
     }
 
+    /// An integer field that must fit `T`: a wider value is refused,
+    /// never truncated.
+    fn int<T: TryFrom<u64>>(&self, k: &str) -> Result<T, String> {
+        let v = self.u64(k)?;
+        T::try_from(v).map_err(|_| format!("field {k:?} out of range: {v}"))
+    }
+
     fn str(&self, k: &str) -> Result<&'a str, String> {
         self.get(k)?.as_str().map_err(|e| e.to_string())
     }
@@ -253,10 +264,10 @@ impl WireCell {
     fn from_json(v: &Json) -> Result<WireCell, String> {
         let f = Fields(v);
         Ok(WireCell {
-            fg: f.u64("fg")? as usize,
-            bg: f.u64("bg")? as usize,
-            attempt: f.u64("attempt")? as u32,
-            issue: f.u64("issue")? as u32,
+            fg: f.int("fg")?,
+            bg: f.int("bg")?,
+            attempt: f.int("attempt")?,
+            issue: f.int("issue")?,
         })
     }
 }
@@ -281,8 +292,8 @@ pub(crate) fn campaign_from_json(v: &Json) -> Result<CampaignSpec, String> {
     Ok(CampaignSpec {
         machine: f.str("machine")?.to_string(),
         work: f.get("work")?.as_f64().map_err(|e| e.to_string())?,
-        threads: f.u64("threads")? as usize,
-        trials: f.u64("trials")? as u32,
+        threads: f.int("threads")?,
+        trials: f.int("trials")?,
         seed: f.u64("seed")?,
         msr: f.u64("msr")?,
         names: f.strings("names")?,
@@ -312,11 +323,11 @@ impl Msg {
                 ("session", Json::u64(u64::from(*session))),
                 ("faults", Json::u64(*faults)),
             ]),
-            Msg::Lease { id, deadline_ms, cells } => obj(vec![
+            Msg::Lease { id, deadline_ms, cell } => obj(vec![
                 ("t", Json::str("lease")),
                 ("id", Json::u64(*id)),
                 ("deadline_ms", Json::u64(*deadline_ms)),
-                ("cells", Json::Arr(cells.iter().map(|c| c.to_json()).collect())),
+                ("cell", cell.to_json()),
             ]),
             Msg::Wait { ms } => obj(vec![("t", Json::str("wait")), ("ms", Json::u64(*ms))]),
             Msg::Done => obj(vec![("t", Json::str("done"))]),
@@ -362,19 +373,13 @@ impl Msg {
                 fp: f.hex("fp")?,
                 worker: f.str("worker")?.to_string(),
                 id: f.hex("id")?,
-                session: f.u64("session")? as u32,
+                session: f.int("session")?,
                 faults: f.u64("faults")?,
             }),
             "lease" => Ok(Msg::Lease {
                 id: f.u64("id")?,
                 deadline_ms: f.u64("deadline_ms")?,
-                cells: f
-                    .get("cells")?
-                    .as_arr()
-                    .map_err(|e| e.to_string())?
-                    .iter()
-                    .map(WireCell::from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
+                cell: WireCell::from_json(f.get("cell")?)?,
             }),
             "wait" => Ok(Msg::Wait { ms: f.u64("ms")? }),
             "done" => Ok(Msg::Done),
@@ -557,7 +562,7 @@ mod tests {
             solo: vec!["{\"k\":\"x\"}".into()],
         });
         round_trip(Msg::Claim { fp: 1, worker: "w0".into(), id: u64::MAX, session: 3, faults: 2 });
-        round_trip(Msg::Lease { id: 9, deadline_ms: 30_000, cells: vec![cell] });
+        round_trip(Msg::Lease { id: 9, deadline_ms: 30_000, cell });
         round_trip(Msg::Wait { ms: 200 });
         round_trip(Msg::Done);
         round_trip(Msg::Result {
@@ -591,6 +596,27 @@ mod tests {
                 assert_eq!(value.to_bits(), v.to_bits());
             }
             other => panic!("bad parse: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_attempt_past_u32_is_a_protocol_error_not_attempt_zero() {
+        let msg = Msg::Result {
+            lease: 1,
+            cell: WireCell { fg: 0, bg: 0, attempt: 0, issue: 0 },
+            outcome: CellOutcome::Value { value: 1.5, status: CellStatus::Ok },
+            records: vec![],
+        };
+        let payload = msg.to_json().render();
+        let hostile = payload.replacen("\"attempt\":0", "\"attempt\":4294967296", 1);
+        assert_ne!(hostile, payload, "the attempt field was rewritten");
+        // A correctly checksummed frame: only the decoder can refuse it.
+        let mut bytes = (hostile.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(&frame_checksum(hostile.as_bytes()).to_be_bytes());
+        bytes.extend_from_slice(hostile.as_bytes());
+        match FrameReader::new(&bytes[..]).next_frame() {
+            Err(WireError::Protocol(e)) => assert!(e.contains("\"attempt\" out of range"), "{e}"),
+            other => panic!("expected a protocol error, got {other:?}"),
         }
     }
 

@@ -4,7 +4,7 @@
 //! exact same [`cochar_colocation::Study`] the coordinator holds (same
 //! run keys — that is the merge invariant), pre-seeds its private store
 //! with the solo records that rode in, and then claims leases until the
-//! coordinator says `done`. Each leased cell is computed under panic
+//! coordinator says `done`. A lease names one cell, computed under panic
 //! isolation; the coordinator owns all retry policy, so the worker just
 //! reports what happened.
 //!
@@ -18,8 +18,9 @@
 //! session is one connection's lifetime, and when a session ends in
 //! connection loss (EOF, a wire fault, an unacknowledged result) the
 //! worker reconnects with bounded exponential backoff + jitter and
-//! re-Hellos. The campaign fingerprint must match the one it was working
-//! — a restarted coordinator offering a *different* campaign is refused.
+//! re-Hellos, up to `MAX_RECONNECTS` (8) times. The campaign fingerprint
+//! must match the one it was working — a restarted coordinator offering
+//! a *different* campaign is refused.
 //! The one in-flight result that was sent but never acknowledged is
 //! resent verbatim at the start of the new session; the coordinator
 //! dismisses it if the cell already settled (counted in the ledger) and
@@ -58,6 +59,14 @@ use cochar_store::{RunKey, RunStore};
 
 use crate::chaos::{ChaosState, ChaosStream, WirePlan};
 use crate::wire::{write_frame, CellOutcome, Frame, FrameReader, Msg, WireCell, WireError};
+
+/// How many lost connections a worker survives before giving up.
+const MAX_RECONNECTS: u32 = 8;
+
+/// How long a worker waits for the coordinator's reply to a claim or
+/// result before treating the session as lost. Replies are normally
+/// immediate; this bounds the damage of a dropped frame.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Worker-side fault injection, armed per-cell (see module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,12 +128,6 @@ pub struct WorkerConfig {
     /// Total budget for (re)connect attempts before giving up — covers
     /// both racing a coordinator's startup and riding out its restart.
     pub connect_retry: Duration,
-    /// How many lost connections to survive before giving up.
-    pub max_reconnects: u32,
-    /// How long to wait for the coordinator's reply to a claim or result
-    /// before treating the session as lost. Replies are normally
-    /// immediate; this bounds the damage of a dropped frame.
-    pub reply_timeout: Duration,
 }
 
 impl WorkerConfig {
@@ -139,8 +142,6 @@ impl WorkerConfig {
             chaos_worker: None,
             chaos_wire: None,
             connect_retry: Duration::from_secs(5),
-            max_reconnects: 8,
-            reply_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -189,21 +190,17 @@ struct WorkerState {
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
 /// Waits for the next message, riding out read-timeout idles up to
-/// `deadline`. Anything else — a close, the deadline, or an inbound
+/// [`REPLY_TIMEOUT`]. Anything else — a close, the timeout, or an inbound
 /// protocol error (counted) — comes back as the reason the connection is
 /// lost: the reconnect machinery owns the recovery, never the parser.
-fn recv(
-    reader: &mut FrameReader<TcpStream>,
-    deadline: Duration,
-    wire_faults: &mut u64,
-) -> Result<Msg, String> {
+fn recv(reader: &mut FrameReader<TcpStream>, wire_faults: &mut u64) -> Result<Msg, String> {
     let start = Instant::now();
     loop {
         match reader.next_frame() {
             Ok(Frame::Msg(m)) => return Ok(m),
             Ok(Frame::Eof) => return Err("connection closed".into()),
-            Ok(Frame::Idle) if start.elapsed() > deadline => {
-                return Err(format!("no reply within the {deadline:?} reply timeout"))
+            Ok(Frame::Idle) if start.elapsed() > REPLY_TIMEOUT => {
+                return Err(format!("no reply within the {REPLY_TIMEOUT:?} reply timeout"))
             }
             Ok(Frame::Idle) => {}
             Err(WireError::Protocol(e)) => {
@@ -339,7 +336,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
             SessionEnd::Lost(why) => {
                 st.session += 1;
                 st.summary.reconnects += 1;
-                if st.session > cfg.max_reconnects {
+                if st.session > MAX_RECONNECTS {
                     break Err(format!(
                         "connection lost {} times (last: {why}); giving up",
                         st.session
@@ -387,7 +384,7 @@ fn run_session(
     let mut reader = FrameReader::new(stream);
 
     // Greeting: the campaign by value, plus solo pre-seed records.
-    let hello = match recv(&mut reader, cfg.reply_timeout, &mut st.summary.wire_faults) {
+    let hello = match recv(&mut reader, &mut st.summary.wire_faults) {
         Ok(m) => m,
         Err(why) => return SessionEnd::Lost(format!("before hello: {why}")),
     };
@@ -486,7 +483,7 @@ fn session_loop(
             "fabric: worker {} resending unacknowledged result for cell ({}, {})",
             cfg.label, cell.fg, cell.bg
         );
-        if let Err(end) = deliver(cfg, writer, reader, pending, &mut summary.wire_faults) {
+        if let Err(end) = deliver(writer, reader, pending, &mut summary.wire_faults) {
             return end;
         }
     }
@@ -503,7 +500,7 @@ fn session_loop(
             return SessionEnd::Lost("sending claim".into());
         }
         let reply = loop {
-            match recv(reader, cfg.reply_timeout, &mut summary.wire_faults) {
+            match recv(reader, &mut summary.wire_faults) {
                 // A stray ack (e.g. the echo of a chaos-duplicated result
                 // frame) is not the claim reply; keep waiting.
                 Ok(Msg::Ack) => continue,
@@ -514,41 +511,35 @@ fn session_loop(
         match reply {
             Msg::Done => return SessionEnd::Dismissed,
             Msg::Wait { ms } => std::thread::sleep(Duration::from_millis(ms.min(1000))),
-            Msg::Lease { id, cells, .. } => {
+            Msg::Lease { id, cell, .. } => {
                 summary.leases += 1;
                 current_lease.store(id, Ordering::Relaxed);
-                for cell in cells {
-                    let (Some(fg), Some(bg)) = (names.get(cell.fg), names.get(cell.bg))
-                    else {
-                        return SessionEnd::Fatal(format!(
-                            "lease cell ({}, {}) out of range for {} names",
-                            cell.fg,
-                            cell.bg,
-                            names.len()
-                        ));
-                    };
-                    apply_worker_chaos(cfg, current_lease, fg, bg, cell);
-                    let computed = catch_unwind(AssertUnwindSafe(|| {
-                        study.pair_attempt(fg, bg, cell.attempt)
-                    }));
-                    let outcome = match computed {
-                        Ok(pair) => {
-                            summary.cells += 1;
-                            let status = CellStatus::of(&pair);
-                            CellOutcome::Value { value: pair.fg_slowdown, status }
-                        }
-                        Err(e) => {
-                            summary.panics += 1;
-                            CellOutcome::Panic { cause: panic_message(e) }
-                        }
-                    };
-                    let records = new_records(store, sent);
-                    *pending = Some(Msg::Result { lease: id, cell, outcome, records });
-                    if let Err(end) =
-                        deliver(cfg, writer, reader, pending, &mut summary.wire_faults)
-                    {
-                        return end;
+                let (Some(fg), Some(bg)) = (names.get(cell.fg), names.get(cell.bg)) else {
+                    return SessionEnd::Fatal(format!(
+                        "lease cell ({}, {}) out of range for {} names",
+                        cell.fg,
+                        cell.bg,
+                        names.len()
+                    ));
+                };
+                apply_worker_chaos(cfg, current_lease, fg, bg, cell);
+                let computed =
+                    catch_unwind(AssertUnwindSafe(|| study.pair_attempt(fg, bg, cell.attempt)));
+                let outcome = match computed {
+                    Ok(pair) => {
+                        summary.cells += 1;
+                        let status = CellStatus::of(&pair);
+                        CellOutcome::Value { value: pair.fg_slowdown, status }
                     }
+                    Err(e) => {
+                        summary.panics += 1;
+                        CellOutcome::Panic { cause: panic_message(e) }
+                    }
+                };
+                let records = new_records(store, sent);
+                *pending = Some(Msg::Result { lease: id, cell, outcome, records });
+                if let Err(end) = deliver(writer, reader, pending, &mut summary.wire_faults) {
+                    return end;
                 }
                 current_lease.store(0, Ordering::Relaxed);
             }
@@ -563,7 +554,6 @@ fn session_loop(
 /// reply to a chaos-duplicated claim) and is cheaper to re-establish than
 /// to re-synchronize.
 fn deliver(
-    cfg: &WorkerConfig,
     writer: &SharedWriter,
     reader: &mut FrameReader<TcpStream>,
     pending: &mut Option<Msg>,
@@ -572,7 +562,7 @@ fn deliver(
     if !send_to(writer, pending.as_ref().expect("a result to deliver")) {
         return Err(SessionEnd::Lost("sending result".into()));
     }
-    match recv(reader, cfg.reply_timeout, wire_faults) {
+    match recv(reader, wire_faults) {
         Ok(Msg::Ack) => {
             *pending = None;
             Ok(())

@@ -447,7 +447,7 @@ fn out_of_range_result_is_a_wire_fault() {
         let claim = Msg::Claim { fp, worker: "off-by-one".into(), id: 1, session: 0, faults: 0 };
         write_frame(&mut writer, &claim).expect("claim");
         let (lease, leased) = match next_msg() {
-            Some(Msg::Lease { id, cells, .. }) => (id, cells[0]),
+            Some(Msg::Lease { id, cell, .. }) => (id, cell),
             other => panic!("expected a lease, got {other:?}"),
         };
         let bogus = Msg::Result {

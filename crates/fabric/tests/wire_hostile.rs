@@ -4,16 +4,39 @@
 //! [`WireError::Protocol`] — from a slice there is no I/O to fail, so an
 //! `Io` error here would mean the parser misclassified corruption.
 
-use cochar_fabric::wire::{write_frame, Frame, FrameReader, Msg, WireError, MAX_FRAME};
+use cochar_colocation::CellStatus;
+use cochar_fabric::wire::{
+    write_frame, CellOutcome, Frame, FrameReader, Msg, WireCell, WireError, MAX_FRAME,
+};
 use proptest::prelude::*;
+
+/// Message kinds `msg_for` draws from.
+const KINDS: u8 = 7;
 
 /// Builds one valid message from a (kind, x) draw.
 fn msg_for(kind: u8, x: u64) -> Msg {
+    let cell = WireCell {
+        fg: (x % 25) as usize,
+        bg: (x / 25 % 25) as usize,
+        attempt: (x % 4) as u32,
+        issue: (x % 6) as u32,
+    };
     match kind {
         0 => Msg::Ack,
         1 => Msg::Done,
         2 => Msg::Wait { ms: x % 10_000 },
         3 => Msg::Heartbeat { lease: x },
+        4 => Msg::Lease { id: x, deadline_ms: x % 60_000, cell },
+        5 => Msg::Result {
+            lease: x,
+            cell,
+            outcome: if x.is_multiple_of(2) {
+                CellOutcome::Value { value: x as f64 / 7.0, status: CellStatus::Ok }
+            } else {
+                CellOutcome::Panic { cause: format!("panic {x}") }
+            },
+            records: vec![format!("record {x}")],
+        },
         _ => Msg::Claim {
             fp: x,
             worker: format!("w{}", x % 10),
@@ -66,7 +89,7 @@ proptest! {
 
     #[test]
     fn truncated_streams_never_panic(
-        draws in prop::collection::vec((0u8..5, any::<u64>()), 1..6),
+        draws in prop::collection::vec((0..KINDS, any::<u64>()), 1..6),
         cut in any::<u64>(),
     ) {
         let bytes = stream_of(&draws);
@@ -86,7 +109,7 @@ proptest! {
 
     #[test]
     fn flipped_bits_are_caught_as_protocol_errors(
-        draws in prop::collection::vec((0u8..5, any::<u64>()), 1..6),
+        draws in prop::collection::vec((0..KINDS, any::<u64>()), 1..6),
         pick in any::<u64>(),
     ) {
         let mut bytes = stream_of(&draws);
