@@ -10,7 +10,7 @@
 //!
 //! | event | what the machine does |
 //! |---|---|
-//! | `claim` | answer a foreign fingerprint with `done`; fold the worker's fault count (a high-water mark per worker id); count a first claim as a worker or a reconnect; reply `lease`, `wait`, or `done` |
+//! | `claim` | answer a foreign fingerprint with `done`; fold the worker's fault count (a high-water mark per worker id); count a first claim as a worker or a reconnect; reply `lease`, `wait` (nothing to lease yet), or `done` |
 //! | `result` | drop the connection if the cell is outside the campaign; end the lease that named it; settle it in the book (a stale or repeated attempt is a duplicate); reply `ack` |
 //! | `heartbeat` | push the lease's deadline `lease_timeout` past now |
 //! | `disconnect` | log the fault that ended the connection; release its leases |
@@ -19,7 +19,7 @@
 //!
 //! | action | what the driver does |
 //! |---|---|
-//! | reply | writes `lease`/`wait`/`done`/`ack` to the event's connection (`done` ends it) |
+//! | reply | writes `lease`/`wait`/`done`/`ack` to the event's connection (`done` ends it); a `wait` only once the claim was held a whole tick (below) |
 //! | drop | closes the event's connection with its fault |
 //! | progress | ticks `on_cell(settled, total)` |
 //! | abort | ends the campaign with the stall error, naming the last worker fault |
@@ -34,11 +34,22 @@
 //! records before the result settles (a progress tick marks durable
 //! progress), and writes its own replies, so a worker that stops reading
 //! a megabyte `hello` blocks no one else — and the main thread, which
-//! spawns and respawns local workers and sends `tick` every 100 ms. They share one `Mutex` around the machine and one
-//! condvar that wakes the main thread when the campaign is done.
-//! Teardown merges local workers' journal files too, caching whatever a
-//! killed worker computed but never reported; merges are dedup by run
-//! fingerprint, so nothing is ever double-merged.
+//! spawns and respawns local workers and sends `tick` every 100 ms. They
+//! share one `Mutex` around the machine and one condvar, signalled after
+//! every `result`, `disconnect` and `tick`: the steps that can release a
+//! cell, retry one, or settle the last.
+//!
+//! A claim the machine answers `wait` is held, not answered: its
+//! connection thread waits on the condvar and re-applies the claim after
+//! each of those steps, so the worker hears `lease` or `done` the moment
+//! one exists. Only a claim held a whole tick is answered `wait`, and the
+//! worker then claims again at once. The main thread's wait resumes after
+//! those wake-ups until its tick is due, so ticks stay 100 ms apart.
+//!
+//! Teardown reaps each local worker as it exits (its stdout pipe closes),
+//! kills any still running after 5 s, and merges their journal files,
+//! caching whatever a killed worker computed but never reported; merges
+//! are dedup by run fingerprint, so nothing is ever double-merged.
 //!
 //! A store-backed campaign is recoverable: it writes `campaign.json`
 //! before issuing any cell and appends its ledger to
@@ -49,7 +60,7 @@
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use cochar_colocation::{CellFailure, CellStatus, Heatmap, Study, SweepPolicy};
@@ -181,8 +192,11 @@ type OnCell<'a> = &'a (dyn Fn(usize, usize) + Sync);
 /// What every driver thread shares: the machine, and the clock it runs on.
 struct Driver<'a> {
     machine: Mutex<Machine>,
-    /// Signalled when the campaign is done.
-    done: Condvar,
+    /// Signalled after every step that can change a claim's answer: held
+    /// claims re-apply, and the main thread checks for the campaign's end.
+    wake: Condvar,
+    /// How long a claim is held before it is answered `wait` ([`TICK`]).
+    hold: Duration,
     /// Time zero of the machine's clock.
     epoch: Instant,
     on_cell: OnCell<'a>,
@@ -194,10 +208,12 @@ impl Driver<'_> {
         self.machine.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Applies one event and ticks its progress (under the lock, so ticks
-    /// stay in order); returns the actions left for the caller.
-    fn step(&self, event: Event) -> Vec<Action> {
-        let mut machine = self.lock();
+    /// Applies one event under the caller's lock and ticks its progress
+    /// (so ticks stay in order); returns the actions left for the caller.
+    fn apply(&self, machine: &mut Machine, event: Event) -> Vec<Action> {
+        // A release, a retry or the last settle can turn a held claim's
+        // `wait` into `lease` or `done`; only these events make them.
+        let wakes = matches!(event, Event::Result { .. } | Event::Disconnect { .. } | Event::Tick);
         let mut actions = machine.on(event, self.epoch.elapsed());
         actions.retain(|action| match *action {
             Action::Progress { settled, total } => {
@@ -206,9 +222,28 @@ impl Driver<'_> {
             }
             _ => true,
         });
-        if machine.done() {
-            self.done.notify_all();
+        if wakes {
+            self.wake.notify_all();
         }
+        actions
+    }
+
+    /// Applies one event under the lock.
+    fn step(&self, event: Event) -> Vec<Action> {
+        self.apply(&mut self.lock(), event)
+    }
+
+    /// Applies a claim and holds it while the machine answers `wait`,
+    /// re-applying it on every wake, so the worker hears `lease` or `done`
+    /// the moment one exists. A claim held for all of `hold` is answered
+    /// `wait`, and the worker claims again.
+    fn claim(&self, claim: Event) -> Vec<Action> {
+        let mut actions = Vec::new();
+        let held = self.wake.wait_timeout_while(self.lock(), self.hold, |machine| {
+            actions = self.apply(machine, claim.clone());
+            actions == [Action::Reply(Msg::Wait)]
+        });
+        drop(held.unwrap_or_else(PoisonError::into_inner));
         actions
     }
 
@@ -242,7 +277,7 @@ impl Driver<'_> {
             };
             let actions = match msg {
                 Msg::Claim { fp, worker, id, session, faults } => {
-                    self.step(Event::Claim { conn, fp, worker, id, session, faults })
+                    self.claim(Event::Claim { conn, fp, worker, id, session, faults })
                 }
                 Msg::Heartbeat { lease } => self.step(Event::Heartbeat { lease }),
                 Msg::Result { lease, cell, outcome, records } => {
@@ -427,7 +462,8 @@ pub fn run_campaign(
     // --- Phase 3: serve the uncached cells.
     let driver = Driver {
         machine: Mutex::new(machine),
-        done: Condvar::new(),
+        wake: Condvar::new(),
+        hold: TICK,
         epoch: Instant::now(),
         on_cell: &on_cell,
         store: &store,
@@ -513,20 +549,30 @@ fn serve(
             }
         });
 
-        // Local worker `k`: its process and its private store.
+        // Local worker `k`: its process and its private store. A thread
+        // drains the worker's stdout and reports on `exits` when it ends:
+        // the pipe closes when the process exits, so teardown hears of
+        // each exit at once.
+        let (exited, exits) = mpsc::channel();
         let spawn_worker = |k: usize| -> Result<(std::process::Child, PathBuf), String> {
             let cmd = cfg.worker_cmd.as_ref().expect("checked in run_campaign");
             let dir = crate::scratch_dir(&format!("worker{k}"));
             let (label, cpu) = (format!("w{k}"), k.to_string());
-            let child = std::process::Command::new(&cmd.exe)
+            let mut child = std::process::Command::new(&cmd.exe)
                 .args(&cmd.args)
                 .args(["--connect", addr.as_str(), "--worker-store"])
                 .arg(&dir)
                 .args(["--label", label.as_str(), "--pin-cpu", &cpu])
-                .stdout(std::process::Stdio::null())
+                .stdout(std::process::Stdio::piped())
                 .stderr(std::process::Stdio::inherit())
                 .spawn()
                 .map_err(|e| format!("spawning worker {}: {e}", cmd.exe.display()))?;
+            let mut stdout = child.stdout.take().expect("stdout is piped");
+            let exited = exited.clone();
+            scope.spawn(move || {
+                let _ = std::io::copy(&mut stdout, &mut std::io::sink());
+                let _ = exited.send(());
+            });
             Ok((child, dir))
         };
         let mut children = Vec::new();
@@ -540,11 +586,16 @@ fn serve(
         // (budget: one replacement per original slot).
         let mut respawns = 0;
         let abort = loop {
-            let machine = driver.lock();
+            // Wakes for held claims do not tick: the wait resumes until
+            // the tick is due or the campaign is done.
+            let (machine, _) = driver
+                .wake
+                .wait_timeout_while(driver.lock(), TICK, |machine| !machine.done())
+                .unwrap_or_else(PoisonError::into_inner);
             if machine.done() {
                 break None;
             }
-            drop(driver.done.wait_timeout(machine, TICK).unwrap_or_else(PoisonError::into_inner));
+            drop(machine);
             // Progress is ticked inside `step`, so an abort is all a tick returns.
             if let Some(Action::Abort(msg)) = driver.step(Event::Tick).pop() {
                 break Some(msg);
@@ -566,14 +617,12 @@ fn serve(
 
         // Give local workers a moment to claim, hear `done`, and exit;
         // then kill whatever is left (hung chaos workers, stuck leases).
-        let grace = Instant::now();
-        while grace.elapsed() < Duration::from_secs(5)
-            && !children.iter_mut().all(|c| matches!(c.try_wait(), Ok(Some(_))))
-        {
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        let grace = Instant::now() + Duration::from_secs(5);
+        let all_exited = children
+            .iter()
+            .all(|_| exits.recv_timeout(grace.saturating_duration_since(Instant::now())).is_ok());
         for child in children.iter_mut() {
-            if !matches!(child.try_wait(), Ok(Some(_))) {
+            if !all_exited && !matches!(child.try_wait(), Ok(Some(_))) {
                 let _ = child.kill();
             }
             let _ = child.wait();
@@ -583,4 +632,90 @@ fn serve(
             None => Ok(respawns),
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lease::Conn;
+    use crate::wire::{CellOutcome, WireCell};
+
+    const FP: u64 = 0xf00d;
+
+    fn no_progress(_: usize, _: usize) {}
+
+    /// Runs `test` on the driver of a one-cell campaign that holds claims
+    /// for a minute, so only a wake-up can answer a held claim in time.
+    fn with_driver(test: impl FnOnce(&Driver<'_>)) {
+        let dir = crate::scratch_dir("driver-test");
+        let store = RunStore::open(&dir).expect("a scratch store opens");
+        let driver = Driver {
+            machine: Mutex::new(Machine::new(1, FP, &FabricConfig::default())),
+            wake: Condvar::new(),
+            hold: Duration::from_secs(60),
+            epoch: Instant::now(),
+            on_cell: &no_progress,
+            store: &store,
+        };
+        test(&driver);
+        drop(driver);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn claim(conn: Conn) -> Event {
+        Event::Claim { conn, fp: FP, worker: format!("w{conn}"), id: conn, session: 0, faults: 0 }
+    }
+
+    /// Connection 1 claims and is leased the campaign's one cell.
+    fn lease_the_cell(driver: &Driver<'_>) -> (u64, WireCell) {
+        match driver.claim(claim(1)).as_slice() {
+            [Action::Reply(Msg::Lease { id, cell, .. })] => (*id, *cell),
+            other => panic!("expected a lease, got {other:?}"),
+        }
+    }
+
+    /// Connection 2 claims on its own thread; once the driver holds that
+    /// claim, `then` runs on this one. Returns the claim's answer.
+    fn answer_to_held_claim(driver: &Driver<'_>, then: impl FnOnce()) -> Vec<Action> {
+        std::thread::scope(|scope| {
+            let held = scope.spawn(|| driver.claim(claim(2)));
+            // Its claim counted the second worker, and after that the
+            // claiming thread gives up the lock only to wait for a wake.
+            while driver.lock().ledger().workers < 2 {
+                std::thread::yield_now();
+            }
+            then();
+            held.join().expect("the claiming thread returns")
+        })
+    }
+
+    #[test]
+    fn a_held_claim_is_leased_the_cell_a_disconnect_releases() {
+        with_driver(|driver| {
+            let (_, cell) = lease_the_cell(driver);
+            let answer = answer_to_held_claim(driver, || {
+                driver.step(Event::Disconnect { conn: 1, cause: None });
+            });
+            match answer.as_slice() {
+                [Action::Reply(Msg::Lease { id: 2, cell: reissued, .. })] => {
+                    assert_eq!(*reissued, WireCell { issue: 1, ..cell })
+                }
+                other => panic!("expected the released cell's lease, got {other:?}"),
+            }
+        });
+    }
+
+    #[test]
+    fn a_held_claim_is_dismissed_by_the_last_settle() {
+        with_driver(|driver| {
+            let (lease, cell) = lease_the_cell(driver);
+            let answer = answer_to_held_claim(driver, || {
+                let outcome = CellOutcome::Value { value: 1.5, status: CellStatus::Ok };
+                let acked = driver.step(Event::Result { lease, cell, outcome });
+                assert_eq!(acked, vec![Action::Reply(Msg::Ack)]);
+            });
+            assert_eq!(answer, vec![Action::Reply(Msg::Done)]);
+        });
+    }
 }

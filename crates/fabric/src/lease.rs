@@ -21,9 +21,6 @@ use crate::wire::{CellOutcome, Msg, WireCell, WireError};
 /// Leases a cell may lose before it fails with a delivery error.
 pub(crate) const MAX_ISSUES: u32 = 5;
 
-/// Back-off suggested to a worker that claims while nothing is claimable.
-const WAIT_MS: u64 = 100;
-
 /// One worker connection, numbered by the driver.
 pub(crate) type Conn = u64;
 
@@ -234,7 +231,7 @@ impl Machine {
             return Msg::Done;
         }
         let Some((idx, attempt)) = self.book.claim() else {
-            return Msg::Wait { ms: WAIT_MS };
+            return Msg::Wait;
         };
         let cell = WireCell {
             fg: idx / self.names,
@@ -579,7 +576,7 @@ mod tests {
         Connect,
         Claim,
         Ack,
-        /// Backing off after `wait`, or computing the leased cell.
+        /// About to claim again after `wait`, or computing the leased cell.
         Nothing,
         Dismissed,
     }
@@ -589,7 +586,7 @@ mod tests {
         session: u32,
         conn: Option<Conn>,
         awaiting: Await,
-        /// Reply deadline, back-off end, or reconnect time.
+        /// Reply deadline, reconnect time, or when to claim or report next.
         until: Duration,
         /// The lease held from its receipt until its result is acked.
         lease: Option<(u64, WireCell)>,
@@ -908,9 +905,9 @@ mod tests {
                     self.workers[w].awaiting = Await::Nothing;
                     self.workers[w].until = self.now;
                 }
-                (Payload::ToWorker(Msg::Wait { ms }), Await::Claim) => {
+                (Payload::ToWorker(Msg::Wait), Await::Claim) => {
                     self.workers[w].awaiting = Await::Nothing;
-                    self.workers[w].until = self.now + Duration::from_millis(ms);
+                    self.workers[w].until = self.now;
                 }
                 // Out of step (a duplicated reply): reconnect, as the
                 // real worker does.

@@ -11,7 +11,7 @@
 //! C→W  hello     {t, fp, lease_ms, campaign{machine,work,threads,trials,seed,msr,names}, solo:[line...]}
 //! W→C  claim     {t, fp, worker, id, session, faults}
 //! C→W  lease     {t, id, deadline_ms, cell{fg,bg,attempt,issue}}
-//!      | wait    {t, ms}
+//!      | wait    {t}
 //!      | done    {t}
 //! W→C  result    {t, lease, cell{...}, ok, value?, status?, panic?, records:[line...]}
 //! C→W  ack       {t}
@@ -164,11 +164,9 @@ pub enum Msg {
         /// The cell to compute.
         cell: WireCell,
     },
-    /// No work right now; ask again in `ms`.
-    Wait {
-        /// Suggested back-off in ms.
-        ms: u64,
-    },
+    /// No work right now: the coordinator held the claim for a whole
+    /// tick without a cell to lease. The worker claims again at once.
+    Wait,
     /// The campaign settled; the worker should exit.
     Done,
     /// One computed (or panicked) cell plus the new journal records the
@@ -329,7 +327,7 @@ impl Msg {
                 ("deadline_ms", Json::u64(*deadline_ms)),
                 ("cell", cell.to_json()),
             ]),
-            Msg::Wait { ms } => obj(vec![("t", Json::str("wait")), ("ms", Json::u64(*ms))]),
+            Msg::Wait => obj(vec![("t", Json::str("wait"))]),
             Msg::Done => obj(vec![("t", Json::str("done"))]),
             Msg::Result { lease, cell, outcome, records } => {
                 let mut fields = vec![
@@ -381,7 +379,7 @@ impl Msg {
                 deadline_ms: f.u64("deadline_ms")?,
                 cell: WireCell::from_json(f.get("cell")?)?,
             }),
-            "wait" => Ok(Msg::Wait { ms: f.u64("ms")? }),
+            "wait" => Ok(Msg::Wait),
             "done" => Ok(Msg::Done),
             "result" => {
                 let outcome = if f.get("ok")?.as_bool().map_err(|e| e.to_string())? {
@@ -563,7 +561,7 @@ mod tests {
         });
         round_trip(Msg::Claim { fp: 1, worker: "w0".into(), id: u64::MAX, session: 3, faults: 2 });
         round_trip(Msg::Lease { id: 9, deadline_ms: 30_000, cell });
-        round_trip(Msg::Wait { ms: 200 });
+        round_trip(Msg::Wait);
         round_trip(Msg::Done);
         round_trip(Msg::Result {
             lease: 9,
@@ -635,10 +633,10 @@ mod tests {
             }
         }
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, &Msg::Wait { ms: 7 }).unwrap();
+        write_frame(&mut bytes, &Msg::Wait).unwrap();
         write_frame(&mut bytes, &Msg::Done).unwrap();
         let mut r = FrameReader::new(Dribble(bytes, 0));
-        assert!(matches!(r.next_frame().unwrap(), Frame::Msg(Msg::Wait { ms: 7 })));
+        assert!(matches!(r.next_frame().unwrap(), Frame::Msg(Msg::Wait)));
         assert!(matches!(r.next_frame().unwrap(), Frame::Msg(Msg::Done)));
         assert!(matches!(r.next_frame().unwrap(), Frame::Eof));
     }
@@ -669,7 +667,7 @@ mod tests {
     #[test]
     fn flipped_bit_is_a_checksum_mismatch() {
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, &Msg::Wait { ms: 7 }).unwrap();
+        write_frame(&mut bytes, &Msg::Wait).unwrap();
         // Flip one bit inside the payload; the frame must be refused as a
         // protocol error, not parsed into a different message.
         let last = bytes.len() - 1;
@@ -686,7 +684,7 @@ mod tests {
         let mut bytes = Vec::new();
         write_frame(&mut bytes, &Msg::Ack).unwrap();
         let clean = bytes.len();
-        write_frame(&mut bytes, &Msg::Wait { ms: 3 }).unwrap();
+        write_frame(&mut bytes, &Msg::Wait).unwrap();
         bytes[clean + FRAME_HEADER] ^= 0x01; // corrupt only the second frame
         let mut r = FrameReader::new(&bytes[..]);
         assert!(matches!(r.next_frame().unwrap(), Frame::Msg(Msg::Ack)));

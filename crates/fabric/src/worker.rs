@@ -6,11 +6,14 @@
 //! with the solo records that rode in, and then claims leases until the
 //! coordinator says `done`. A lease names one cell, computed under panic
 //! isolation; the coordinator owns all retry policy, so the worker just
-//! reports what happened.
+//! reports what happened. The coordinator holds a claim while it has
+//! nothing to lease and answers `wait` only after a whole tick; the
+//! worker then claims again at once, without sleeping.
 //!
 //! While a lease is held, a heartbeat thread extends it every
 //! `lease_ms / 3`, so a slow cell does not get re-issued out from under a
-//! healthy worker — only a dead or hung one.
+//! healthy worker — only a dead or hung one. The thread parks between
+//! beats and the session's end unparks it, so it stops at once.
 //!
 //! # Reconnect
 //!
@@ -428,7 +431,8 @@ fn run_session(
 
     // Heartbeat thread: extends whichever lease is current. Writes share
     // the frame writer's mutex, so heartbeats never interleave with a
-    // result frame. Per-session: it dies with this connection.
+    // result frame. Per-session: the session's end unparks it, and it
+    // exits at once.
     let current_lease = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     let beat = {
@@ -437,17 +441,17 @@ fn run_session(
         let stop = Arc::clone(&stop);
         let interval = Duration::from_millis((lease_ms / 3).max(100));
         std::thread::spawn(move || {
-            let mut slept = Duration::ZERO;
+            let mut due = Instant::now() + interval;
             loop {
-                std::thread::sleep(Duration::from_millis(50));
+                std::thread::park_timeout(due.saturating_duration_since(Instant::now()));
+                // `unpark` follows the store, and a park it ends sees it.
                 if stop.load(Ordering::Relaxed) {
                     return;
                 }
-                slept += Duration::from_millis(50);
-                if slept < interval {
-                    continue;
+                if Instant::now() < due {
+                    continue; // a spurious wake-up
                 }
-                slept = Duration::ZERO;
+                due = Instant::now() + interval;
                 let lease = current_lease.load(Ordering::Relaxed);
                 if lease != 0 {
                     let _ = send_to(&writer, &Msg::Heartbeat { lease });
@@ -458,6 +462,7 @@ fn run_session(
 
     let end = session_loop(cfg, store, st, &writer, &mut reader, &current_lease);
     stop.store(true, Ordering::Relaxed);
+    beat.thread().unpark();
     let _ = beat.join();
     end
 }
@@ -510,7 +515,8 @@ fn session_loop(
         };
         match reply {
             Msg::Done => return SessionEnd::Dismissed,
-            Msg::Wait { ms } => std::thread::sleep(Duration::from_millis(ms.min(1000))),
+            // The coordinator held the claim a whole tick: claim again.
+            Msg::Wait => {}
             Msg::Lease { id, cell, .. } => {
                 summary.leases += 1;
                 current_lease.store(id, Ordering::Relaxed);

@@ -43,30 +43,31 @@ fn spawn_worker(cfg: WorkerConfig, report: Option<mpsc::Sender<Report>>) {
     });
 }
 
-/// Waits for `n` worker reports and fails on any worker error. Called
-/// after the coordinator returns: a dismissed worker exits at once, one
-/// that finds the coordinator gone gives up reconnecting within its
-/// `connect_retry` budget.
-fn assert_workers_ok(reports: &mpsc::Receiver<Report>, n: usize) {
-    for _ in 0..n {
-        let (label, result) = reports
-            .recv_timeout(Duration::from_secs(60))
-            .expect("a healthy worker returns after the campaign");
-        if let Err(e) = result {
-            panic!("worker {label} failed: {e}");
-        }
-    }
+/// Waits for `n` worker reports, fails on any worker error, and returns
+/// their summaries. Called after the coordinator returns: a dismissed
+/// worker exits at once, one that finds the coordinator gone gives up
+/// reconnecting within its `connect_retry` budget.
+fn assert_workers_ok(reports: &mpsc::Receiver<Report>, n: usize) -> Vec<WorkerSummary> {
+    (0..n)
+        .map(|_| {
+            let (label, result) = reports
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a healthy worker returns after the campaign");
+            result.unwrap_or_else(|e| panic!("worker {label} failed: {e}"))
+        })
+        .collect()
 }
 
 /// Runs `spec` through the fabric with `n` in-process workers, each
 /// configured by `mk_cfg(i, addr)`, and checks that every worker without
-/// hang chaos returned `Ok`.
+/// hang chaos returned `Ok`; returns the outcome and those workers'
+/// summaries.
 fn run_distributed(
     spec: &CampaignSpec,
     cfg: FabricConfig,
     n: usize,
     mk_cfg: impl Fn(usize, &str) -> WorkerConfig,
-) -> cochar_fabric::FabricOutcome {
+) -> (cochar_fabric::FabricOutcome, Vec<WorkerSummary>) {
     let (tx, rx) = mpsc::channel();
     let cfg = FabricConfig { on_bound: Some(tx), ..cfg };
     let study = spec.build_study(None).expect("spec builds");
@@ -87,8 +88,7 @@ fn run_distributed(
             spawn_worker(wcfg, (!hangs).then(|| report.clone()));
         }
         let outcome = coord.join().expect("coordinator thread").expect("campaign succeeds");
-        assert_workers_ok(&reports, healthy);
-        outcome
+        (outcome, assert_workers_ok(&reports, healthy))
     })
 }
 
@@ -101,7 +101,7 @@ fn reference_csv(spec: &CampaignSpec) -> String {
 #[test]
 fn distributed_equals_local() {
     let spec = tiny_spec();
-    let outcome = run_distributed(&spec, FabricConfig::default(), 2, |i, addr| {
+    let (outcome, _) = run_distributed(&spec, FabricConfig::default(), 2, |i, addr| {
         let mut c = WorkerConfig::new(addr);
         c.label = format!("w{i}");
         c
@@ -114,6 +114,27 @@ fn distributed_equals_local() {
 }
 
 #[test]
+fn more_workers_than_cells_are_all_dismissed_cleanly() {
+    // Four cells, six workers: at least two claims find nothing to lease
+    // and are held until the campaign ends.
+    let spec =
+        CampaignSpec { names: NAMES[..2].iter().map(|s| s.to_string()).collect(), ..tiny_spec() };
+    let (outcome, workers) = run_distributed(&spec, FabricConfig::default(), 6, |i, addr| {
+        let mut c = WorkerConfig::new(addr);
+        c.label = format!("w{i}");
+        c
+    });
+    assert!(outcome.failures.is_empty(), "failures: {:?}", outcome.failures);
+    assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec));
+    assert_eq!((outcome.ledger.reconnects, outcome.ledger.wire_faults), (0, 0));
+    assert_eq!(workers.len(), 6);
+    for summary in &workers {
+        // A worker returns `Ok` without a reconnect only when dismissed.
+        assert_eq!((summary.reconnects, summary.wire_faults), (0, 0), "{summary:?}");
+    }
+}
+
+#[test]
 fn panicking_cell_is_retried_by_coordinator() {
     let spec = tiny_spec();
     let cfg = FabricConfig {
@@ -123,7 +144,7 @@ fn panicking_cell_is_retried_by_coordinator() {
     // The worker's chaos cell panics on attempt 0 and succeeds from
     // attempt 1 — so the CSV only matches the reference if the
     // coordinator actually re-issues with a bumped attempt.
-    let outcome = run_distributed(&spec, cfg, 1, |_, addr| {
+    let (outcome, _) = run_distributed(&spec, cfg, 1, |_, addr| {
         let mut c = WorkerConfig::new(addr);
         c.chaos_cell = Some(("swaptions".into(), "stream".into(), 1));
         c
@@ -156,7 +177,7 @@ fn exhausted_retries_leave_a_hole() {
         ..FabricConfig::default()
     };
     // Succeeds only from attempt 5, budget allows attempts 0 and 1.
-    let outcome = run_distributed(&spec, cfg, 1, |_, addr| {
+    let (outcome, _) = run_distributed(&spec, cfg, 1, |_, addr| {
         let mut c = WorkerConfig::new(addr);
         c.chaos_cell = Some(("swaptions".into(), "stream".into(), 5));
         c
@@ -196,7 +217,7 @@ fn hung_worker_lease_expires_and_cell_is_reissued() {
     // issue, so whichever worker draws the trigger cell silences its
     // heartbeat and sleeps — the other must pick up the expired lease and
     // compute the re-issue (issue 1) normally.
-    let outcome = run_distributed(&spec, cfg, 2, |i, addr| {
+    let (outcome, _) = run_distributed(&spec, cfg, 2, |i, addr| {
         let mut c = WorkerConfig::new(addr);
         c.label = format!("w{i}");
         c.chaos_worker =
@@ -277,7 +298,7 @@ fn duplicated_result_is_dismissed_exactly_once() {
     // Outbound frame 1 is the worker's first result; `dup@1` sends it
     // twice. The coordinator must settle the cell once, dismiss the
     // replay, and the CSV must be unaffected.
-    let outcome = run_distributed(&spec, FabricConfig::default(), 1, |_, addr| {
+    let (outcome, _) = run_distributed(&spec, FabricConfig::default(), 1, |_, addr| {
         let mut c = WorkerConfig::new(addr);
         c.chaos_wire = Some(WirePlan::parse("dup@1").unwrap());
         c
@@ -294,7 +315,7 @@ fn corrupted_frame_forces_reconnect_and_resend() {
     // checksum mismatch on the worker's first result, drops the
     // connection, and the worker must reconnect and resend the
     // unacknowledged result.
-    let outcome = run_distributed(&spec, FabricConfig::default(), 1, |_, addr| {
+    let (outcome, _) = run_distributed(&spec, FabricConfig::default(), 1, |_, addr| {
         let mut c = WorkerConfig::new(addr);
         c.chaos_wire = Some(WirePlan::parse("flip@1:40").unwrap());
         c
@@ -308,7 +329,7 @@ fn corrupted_frame_forces_reconnect_and_resend() {
 #[test]
 fn injected_close_is_survived_by_reconnect() {
     let spec = tiny_spec();
-    let outcome = run_distributed(&spec, FabricConfig::default(), 1, |_, addr| {
+    let (outcome, _) = run_distributed(&spec, FabricConfig::default(), 1, |_, addr| {
         let mut c = WorkerConfig::new(addr);
         c.chaos_wire = Some(WirePlan::parse("close@2").unwrap());
         c

@@ -24,7 +24,7 @@ fn msg_for(kind: u8, x: u64) -> Msg {
     match kind {
         0 => Msg::Ack,
         1 => Msg::Done,
-        2 => Msg::Wait { ms: x % 10_000 },
+        2 => Msg::Wait,
         3 => Msg::Heartbeat { lease: x },
         4 => Msg::Lease { id: x, deadline_ms: x % 60_000, cell },
         5 => Msg::Result {
