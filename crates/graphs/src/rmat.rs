@@ -67,21 +67,26 @@ impl RmatConfig {
         let mut src = 0u32;
         let mut dst = 0u32;
         for _ in 0..self.scale {
-            src <<= 1;
-            dst <<= 1;
-            let r = rng.next_below(1000) as u32;
-            if r < self.a {
-                // top-left: neither bit set
-            } else if r < self.a + self.b {
-                dst |= 1;
-            } else if r < self.a + self.b + self.c {
-                src |= 1;
-            } else {
-                src |= 1;
-                dst |= 1;
-            }
+            let (row, col) = self.quadrant_bits(rng.next_below(1000) as u32);
+            src = (src << 1) | row;
+            dst = (dst << 1) | col;
         }
         (src, dst)
+    }
+
+    /// The row (src) and column (dst) bit one recursion level adds for a
+    /// draw `r` in `0..1000`. The quadrants top-left, top-right (column
+    /// bit), bottom-left (row bit) and bottom-right (both) own the
+    /// consecutive ranges `a`, `b`, `c` and the rest. The bits come from
+    /// comparisons against the cumulative thresholds, not from a branch per
+    /// quadrant: the draws are random, so such branches mispredict on most
+    /// levels.
+    #[inline]
+    fn quadrant_bits(&self, r: u32) -> (u32, u32) {
+        let ab = self.a + self.b;
+        let row = u32::from(r >= ab);
+        let col = u32::from(r >= self.a) ^ row ^ u32::from(r >= ab + self.c);
+        (row, col)
     }
 }
 
@@ -129,6 +134,30 @@ mod tests {
         let n = cfg.vertices();
         for &(s, d) in &edges {
             assert!(s < n && d < n);
+        }
+    }
+
+    #[test]
+    fn quadrant_bits_follow_the_quadrant_ranges() {
+        let configs = [
+            RmatConfig::skewed(4, 1, 0),
+            RmatConfig::uniform(4, 1, 0),
+            RmatConfig { a: 0, b: 0, c: 999, ..RmatConfig::skewed(4, 1, 0) },
+            RmatConfig { a: 999, b: 0, c: 0, ..RmatConfig::skewed(4, 1, 0) },
+        ];
+        for cfg in configs {
+            for r in 0..1000 {
+                let expected = if r < cfg.a {
+                    (0, 0)
+                } else if r < cfg.a + cfg.b {
+                    (0, 1)
+                } else if r < cfg.a + cfg.b + cfg.c {
+                    (1, 0)
+                } else {
+                    (1, 1)
+                };
+                assert_eq!(cfg.quadrant_bits(r), expected, "{cfg:?} r={r}");
+            }
         }
     }
 

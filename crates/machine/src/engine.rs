@@ -45,15 +45,12 @@ pub enum Role {
 /// One application in a run: a stream factory plus its placement.
 pub struct AppSpec {
     /// Display name (used in results).
-    /// Application name (copied from the spec).
     pub name: String,
     /// Per-thread stream builder.
     pub factory: Arc<dyn StreamFactory>,
     /// Number of threads; each is pinned to its own core.
-    /// Threads (= cores) the application used.
     pub threads: usize,
     /// Foreground or background.
-    /// Role the application ran with.
     pub role: Role,
     /// Base of this instance's private address region.
     pub base: u64,

@@ -10,7 +10,7 @@
 //! paper's observation that its identical-edge-weight assumption destroys
 //! scalability (speedup < 2x at 8 threads).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cochar_graphs::algos;
 use cochar_graphs::engines::{build_stream, EngineKind, GraphLayout};
@@ -22,40 +22,63 @@ use crate::scale::Scale;
 use crate::spec::{Domain, WorkloadSpec};
 
 /// The shared graph plus every algorithm's precomputed execution
-/// structure. Built once per [`Scale`] and shared by all graph workload
-/// factories (frontier computation is host work, not simulated work).
+/// structure. Built once per [`Scale`], on the first graph stream any
+/// thread builds, and shared by all graph workload factories (frontier
+/// computation is host work, not simulated work). A registry whose graph
+/// apps never run never pays for it.
 pub struct GraphAssets {
     /// The shared synthetic graph.
     pub csr: Arc<Csr>,
     /// PageRank's phase structure.
-    pub pr: Arc<GraphJob>,
+    pub pr: GraphJob,
     /// BFS's per-level frontiers.
-    pub bfs: Arc<GraphJob>,
+    pub bfs: GraphJob,
     /// Betweenness centrality's forward+backward levels.
-    pub bc: Arc<GraphJob>,
+    pub bc: GraphJob,
     /// Weighted SSSP relaxation rounds (G-SSSP).
-    pub sssp_weighted: Arc<GraphJob>,
+    pub sssp_weighted: GraphJob,
     /// Unit-weight SSSP rounds (P-SSSP).
-    pub sssp_unit: Arc<GraphJob>,
+    pub sssp_unit: GraphJob,
     /// Label-propagation rounds.
-    pub cc: Arc<GraphJob>,
+    pub cc: GraphJob,
+    /// G-SSSP's replicated serial section, in cycles.
+    gemini_sssp_serial: u64,
+    /// P-SSSP's replicated serial section, in cycles.
+    power_sssp_serial: u64,
 }
 
 impl GraphAssets {
-    /// Generates the graph and computes every algorithm's frontiers.
+    /// Generates the graph, computes every algorithm's frontiers and
+    /// sizes the SSSP serial sections.
     pub fn build(scale: &Scale) -> Self {
         let cfg = RmatConfig::skewed(scale.graph_scale, scale.graph_edge_factor, scale.seed);
         let csr = Arc::new(Csr::rmat(&cfg));
         let pr_iters = scale.scaled(3).clamp(1, 20) as u32;
-        GraphAssets {
-            pr: Arc::new(algos::pagerank_job(pr_iters)),
-            bfs: Arc::new(algos::bfs_job(&csr, 0)),
-            bc: Arc::new(algos::bc_job(&csr, 0)),
-            sssp_weighted: Arc::new(algos::sssp_job(&csr, 0, false)),
-            sssp_unit: Arc::new(algos::sssp_job(&csr, 0, true)),
-            cc: Arc::new(algos::cc_job(&csr)),
+        let mut assets = GraphAssets {
+            pr: algos::pagerank_job(pr_iters),
+            bfs: algos::bfs_job(&csr, 0),
+            bc: algos::bc_job(&csr, 0),
+            sssp_weighted: algos::sssp_job(&csr, 0, false),
+            sssp_unit: algos::sssp_job(&csr, 0, true),
+            cc: algos::cc_job(&csr),
             csr,
-        }
+            gemini_sssp_serial: 0,
+            power_sssp_serial: 0,
+        };
+        // Rough single-thread cycle estimates used only to size serial
+        // sections (cycles per edge visit, including misses).
+        let power_cycles_per_edge = 14u64;
+        // P-SSSP: ~2/3 serial => speedup(8) < 2x, matching the paper.
+        let sssp_par = assets.edge_visits(&assets.sssp_unit) * power_cycles_per_edge;
+        assets.power_sssp_serial = sssp_par * 2;
+        // G-SSSP: a small replicated frontier-synchronization cost per run —
+        // its sparse re-activation rounds carry more barrier overhead per
+        // unit of work than the dense algorithms ("less sharp" scaling,
+        // Sec. IV-A).
+        let gemini_cycles_per_edge = 8u64;
+        assets.gemini_sssp_serial =
+            assets.edge_visits(&assets.sssp_weighted) * gemini_cycles_per_edge / 16;
+        assets
     }
 
     /// Total edge visits of a job on this graph — the work proxy used to
@@ -71,79 +94,95 @@ impl GraphAssets {
     }
 }
 
-fn graph_factory(
-    kind: EngineKind,
-    csr: Arc<Csr>,
-    job: Arc<GraphJob>,
-    serial_cycles: u64,
-) -> Arc<dyn StreamFactory> {
+/// One [`Scale`]'s [`GraphAssets`], built on first use. The eight graph
+/// specs share one behind an `Arc`: the first stream any of them builds
+/// fills it, and concurrent first callers wait on that one build.
+pub(crate) struct LazyAssets {
+    scale: Scale,
+    pub(crate) assets: OnceLock<GraphAssets>,
+    /// Builds so far; the build-once tests read it.
+    #[cfg(test)]
+    pub(crate) builds: std::sync::atomic::AtomicUsize,
+}
+
+impl LazyAssets {
+    /// Assets for `scale`, not yet built.
+    pub(crate) fn new(scale: Scale) -> Self {
+        LazyAssets {
+            scale,
+            assets: OnceLock::new(),
+            #[cfg(test)]
+            builds: Default::default(),
+        }
+    }
+
+    /// The assets, built by the first caller.
+    fn get(&self) -> &GraphAssets {
+        self.assets.get_or_init(|| {
+            #[cfg(test)]
+            self.builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            GraphAssets::build(&self.scale)
+        })
+    }
+}
+
+/// Selects a spec's job and its replicated serial section, in cycles.
+type Pick = fn(&GraphAssets) -> (&GraphJob, u64);
+
+fn graph_factory(kind: EngineKind, assets: Arc<LazyAssets>, pick: Pick) -> Arc<dyn StreamFactory> {
     Arc::new(move |p: &StreamParams| {
+        let assets = assets.get();
+        let (job, serial_cycles) = pick(assets);
+        let csr = &assets.csr;
         let mut region = cochar_trace::Region::new(
             p.base,
             GraphLayout::bytes_needed(csr.vertices(), csr.edges()),
         );
         let layout = GraphLayout::new(&mut region, csr.vertices(), csr.edges());
-        let scan = build_stream(kind, &csr, layout, &job, p.thread, p.threads);
+        let scan = build_stream(kind, csr, layout, job, p.thread, p.threads);
         with_serial_prefix(serial_cycles, Box::new(scan) as Box<dyn SlotStream>)
     })
 }
 
-/// Builds the eight graph workload specs.
-pub fn specs(assets: &GraphAssets) -> Vec<WorkloadSpec> {
-    let csr = &assets.csr;
-    // Rough single-thread cycle estimates used only to size serial
-    // sections (cycles per edge visit, including misses).
-    let power_cycles_per_edge = 14u64;
-    // P-SSSP: ~2/3 serial => speedup(8) < 2x, matching the paper.
-    let sssp_par = assets.edge_visits(&assets.sssp_unit) * power_cycles_per_edge;
-    let sssp_serial = sssp_par * 2;
-    // G-SSSP: a small replicated frontier-synchronization cost per run —
-    // its sparse re-activation rounds carry more barrier overhead per
-    // unit of work than the dense algorithms ("less sharp" scaling,
-    // Sec. IV-A).
-    let gemini_cycles_per_edge = 8u64;
-    let gsssp_serial =
-        assets.edge_visits(&assets.sssp_weighted) * gemini_cycles_per_edge / 16;
-
-    let g = |name, job: &Arc<GraphJob>, serial: u64, desc| WorkloadSpec {
+/// Builds the eight graph workload specs over one set of lazily built
+/// assets.
+pub(crate) fn specs(assets: &Arc<LazyAssets>) -> Vec<WorkloadSpec> {
+    let g = |name, pick: Pick, desc| WorkloadSpec {
         name,
         suite: "GeminiGraph",
         domain: Domain::Graph,
         description: desc,
-        factory: graph_factory(EngineKind::Gemini, csr.clone(), job.clone(), serial),
+        factory: graph_factory(EngineKind::Gemini, assets.clone(), pick),
     };
-    let p = |name, job: &Arc<GraphJob>, serial, desc| WorkloadSpec {
+    let p = |name, pick: Pick, desc| WorkloadSpec {
         name,
         suite: "PowerGraph",
         domain: Domain::Graph,
         description: desc,
-        factory: graph_factory(EngineKind::Power, csr.clone(), job.clone(), serial),
+        factory: graph_factory(EngineKind::Power, assets.clone(), pick),
     };
 
     vec![
-        g("G-PR", &assets.pr, 0, "PageRank power iterations: dense gather-heavy edge scans"),
-        g("G-BFS", &assets.bfs, 0, "Breadth-first search: sparse per-level frontier scans"),
-        g("G-BC", &assets.bc, 0, "Betweenness centrality: forward + backward level sweeps"),
+        g("G-PR", |a| (&a.pr, 0), "PageRank power iterations: dense gather-heavy edge scans"),
+        g("G-BFS", |a| (&a.bfs, 0), "Breadth-first search: sparse per-level frontier scans"),
+        g("G-BC", |a| (&a.bc, 0), "Betweenness centrality: forward + backward level sweeps"),
         g(
             "G-SSSP",
-            &assets.sssp_weighted,
-            gsssp_serial,
+            |a| (&a.sssp_weighted, a.gemini_sssp_serial),
             "Weighted SSSP: label-correcting rounds with re-activation",
         ),
-        g("G-CC", &assets.cc, 0, "Connected components: label propagation to fixpoint"),
+        g("G-CC", |a| (&a.cc, 0), "Connected components: label propagation to fixpoint"),
         p(
             "P-PR",
-            &assets.pr,
-            0,
+            |a| (&a.pr, 0),
             "PageRank under vertex-cut GAS: gather dominates CPU cycles",
         ),
         p(
             "P-SSSP",
-            &assets.sssp_unit,
-            sssp_serial,
+            |a| (&a.sssp_unit, a.power_sssp_serial),
             "Unit-weight SSSP: serialized rounds, speedup < 2x (paper Sec. IV-A)",
         ),
-        p("P-CC", &assets.cc, 0, "Connected components under vertex-cut GAS"),
+        p("P-CC", |a| (&a.cc, 0), "Connected components under vertex-cut GAS"),
     ]
 }
 
@@ -152,14 +191,13 @@ mod tests {
     use super::*;
     use cochar_trace::slot::stream_census;
 
-    fn assets() -> GraphAssets {
-        GraphAssets::build(&Scale::tiny())
+    fn specs() -> Vec<WorkloadSpec> {
+        super::specs(&Arc::new(LazyAssets::new(Scale::tiny())))
     }
 
     #[test]
     fn builds_eight_specs_with_paper_names() {
-        let a = assets();
-        let specs = specs(&a);
+        let specs = specs();
         let names: Vec<_> = specs.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
@@ -170,8 +208,7 @@ mod tests {
 
     #[test]
     fn streams_terminate_and_do_work() {
-        let a = assets();
-        for spec in specs(&a) {
+        for spec in specs() {
             let p = StreamParams { thread: 0, threads: 2, base: 0, seed: 1 };
             let mut s = spec.factory.build(&p);
             let (instr, mem, _, _) = stream_census(&mut *s, 50_000_000);
@@ -184,8 +221,7 @@ mod tests {
     fn thread_streams_partition_the_edge_scan() {
         // Summed gather counts over all threads must be constant however
         // many threads there are.
-        let a = assets();
-        let spec = &specs(&a)[0]; // G-PR
+        let spec = &specs()[0]; // G-PR
         let total = |threads: usize| -> u64 {
             (0..threads)
                 .map(|t| {
@@ -203,8 +239,7 @@ mod tests {
 
     #[test]
     fn p_sssp_has_replicated_serial_work() {
-        let a = assets();
-        let all = specs(&a);
+        let all = specs();
         let sssp = all.iter().find(|s| s.name == "P-SSSP").unwrap();
         // Thread 1 of 8 must carry (nearly) as many instructions as thread
         // 1 of 2: the serial prefix dominates and is replicated.
@@ -223,7 +258,7 @@ mod tests {
 
     #[test]
     fn edge_visits_counts_dense_phase_as_all_edges() {
-        let a = assets();
+        let a = GraphAssets::build(&Scale::tiny());
         let v = a.edge_visits(&a.pr);
         let iters = a.pr.phases.len() as u64;
         assert_eq!(v, a.csr.edges() * iters);

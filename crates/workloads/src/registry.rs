@@ -6,8 +6,9 @@
 //! study.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use crate::graph::GraphAssets;
+use crate::graph::LazyAssets;
 use crate::scale::Scale;
 use crate::spec::{Domain, WorkloadSpec};
 use crate::{cntk, graph, hpc, mini, parsec, speccpu};
@@ -17,15 +18,18 @@ pub struct Registry {
     scale: Scale,
     specs: Vec<WorkloadSpec>,
     by_name: HashMap<&'static str, usize>,
+    /// The assets the graph specs share; tests check when they are built.
+    #[cfg(test)]
+    graph: Arc<LazyAssets>,
 }
 
 impl Registry {
-    /// Builds the full registry (generates the shared graph and computes
-    /// every graph algorithm's frontiers — a one-time host cost).
+    /// Builds the full registry. The shared graph and every graph
+    /// algorithm's frontiers are a one-time host cost, paid when the first
+    /// graph stream is built, not here.
     pub fn new(scale: Scale) -> Self {
-        let assets = GraphAssets::build(&scale);
-        let mut specs = Vec::new();
-        specs.extend(graph::specs(&assets));
+        let graph = Arc::new(LazyAssets::new(scale));
+        let mut specs = graph::specs(&graph);
         specs.extend(cntk::specs(&scale));
         specs.extend(parsec::specs(&scale));
         specs.extend(speccpu::specs(&scale));
@@ -36,7 +40,13 @@ impl Registry {
             .enumerate()
             .map(|(i, s)| (s.name, i))
             .collect();
-        Registry { scale, specs, by_name }
+        Registry {
+            scale,
+            specs,
+            by_name,
+            #[cfg(test)]
+            graph,
+        }
     }
 
     /// The scale the registry was built for.
@@ -74,6 +84,11 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+    use std::sync::Barrier;
+
+    use cochar_trace::slot::stream_census;
+    use cochar_trace::{SlotStream, StreamParams};
 
     fn registry() -> Registry {
         Registry::new(Scale::tiny())
@@ -130,5 +145,57 @@ mod tests {
         .map(|&d| r.by_domain(d).len())
         .sum();
         assert_eq!(total, 27);
+    }
+
+    fn params(thread: usize, threads: usize) -> StreamParams {
+        StreamParams { thread, threads, base: 0, seed: 1 }
+    }
+
+    #[test]
+    fn new_leaves_the_graph_unbuilt() {
+        let r = registry();
+        assert_eq!(r.graph.builds.load(Ordering::Relaxed), 0);
+        assert!(r.graph.assets.get().is_none());
+    }
+
+    #[test]
+    fn concurrent_graph_streams_build_the_assets_once() {
+        let r = registry();
+        let barrier = Barrier::new(4);
+        let built: Vec<(Box<dyn SlotStream>, Arc<cochar_graphs::Csr>)> = std::thread::scope(|s| {
+            let workers: Vec<_> = ["G-PR", "P-CC", "G-PR", "P-CC"]
+                .into_iter()
+                .enumerate()
+                .map(|(thread, name)| {
+                    let (r, barrier) = (&r, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let stream = r.get(name).unwrap().factory.build(&params(thread, 4));
+                        (stream, r.graph.assets.get().unwrap().csr.clone())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(r.graph.builds.load(Ordering::Relaxed), 1);
+        let (streams, csrs): (Vec<_>, Vec<_>) = built.into_iter().unzip();
+        assert!(csrs.iter().all(|c| Arc::ptr_eq(c, &csrs[0])));
+        drop(csrs);
+        // The registry's assets hold one reference, each stream another:
+        // every stream scans the one shared graph.
+        let csr = &r.graph.assets.get().unwrap().csr;
+        assert_eq!(Arc::strong_count(csr), 1 + streams.len());
+    }
+
+    #[test]
+    fn non_graph_apps_never_build_the_graph() {
+        let r = registry();
+        for spec in r.all().iter().filter(|s| s.domain != Domain::Graph) {
+            let mut stream = spec.factory.build(&params(0, 2));
+            let (instr, _, _, _) = stream_census(&mut *stream, 50_000_000);
+            assert!(instr > 0, "{} produced no instructions", spec.name);
+        }
+        assert_eq!(r.graph.builds.load(Ordering::Relaxed), 0);
+        assert!(r.graph.assets.get().is_none());
     }
 }
