@@ -53,9 +53,16 @@ pub struct CoreCounters {
     pub pending_cycles: u64,
     /// Prefetch requests issued to memory on behalf of this core.
     pub prefetch_issued: u64,
-    /// Prefetched lines touched by a later demand access.
+    /// Prefetched lines touched by a later demand access. A line counts
+    /// when its prefetched bit is set, and prefetches that pull a line
+    /// from the LLC into L2, or from L2 into L1, set that bit without a
+    /// memory request, so this can exceed `prefetch_issued`.
     pub prefetch_useful: u64,
-    /// Demand accesses that arrived before their prefetch completed.
+    /// Demand accesses merged with an in-flight fill. Despite the name,
+    /// this counts every in-flight merge, whether the fill was issued by
+    /// a prefetcher or by another demand miss, so it always equals
+    /// `inflight_merges`, and it can be non-zero with every prefetcher
+    /// off.
     pub prefetch_late: u64,
     /// Prefetches suppressed by queue-depth throttling.
     pub prefetch_throttled: u64,
@@ -142,7 +149,8 @@ impl CoreCounters {
         ratio(self.mlp_stall_cycles, self.cycles)
     }
 
-    /// Fraction of issued prefetches that were touched by demand.
+    /// Prefetch-touched demand accesses per prefetch issued to memory.
+    /// Not bounded by 1: see [`CoreCounters::prefetch_useful`].
     pub fn prefetch_accuracy(&self) -> f64 {
         ratio(self.prefetch_useful, self.prefetch_issued)
     }

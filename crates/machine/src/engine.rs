@@ -15,7 +15,7 @@
 //! disproportionately under queueing delay.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use cochar_trace::{BufEntry, LoopingStream, Slot, SlotBuf, SlotStream, StreamFactory, StreamParams};
@@ -150,7 +150,6 @@ impl RunOutcome {
 pub struct Machine {
     cfg: MachineConfig,
     msr: Msr,
-    reference: bool,
 }
 
 impl Machine {
@@ -158,25 +157,12 @@ impl Machine {
     /// configuration is a design-time constant, not runtime input).
     pub fn new(cfg: MachineConfig) -> Self {
         cfg.validate().expect("invalid machine config");
-        Machine { cfg, msr: Msr::all_on(), reference: false }
+        Machine { cfg, msr: Msr::all_on() }
     }
 
     /// Sets the prefetcher MSR for subsequent runs.
     pub fn with_msr(mut self, msr: Msr) -> Self {
         self.msr = msr;
-        self
-    }
-
-    /// Runs subsequent simulations on the *reference* engine: the plain
-    /// pre-optimization code paths (two-scan cache lookups, SipHash
-    /// in-flight map, per-pop watchdog summation, strict heap turn-taking,
-    /// per-request epoch division). Outcomes are byte-identical to the
-    /// default fast engine — the equivalence suite runs both and proves
-    /// it — so this is a verification instrument, not a behavior switch,
-    /// and deliberately not part of `MachineConfig` (it must not alter
-    /// run-store fingerprints).
-    pub fn with_reference_engine(mut self, reference: bool) -> Self {
-        self.reference = reference;
         self
     }
 
@@ -207,7 +193,7 @@ impl Machine {
             apps.iter().any(|a| a.role == Role::Foreground),
             "at least one foreground app required"
         );
-        Engine::new(&self.cfg, self.msr, apps, self.reference).run()
+        Engine::new(&self.cfg, self.msr, apps).run()
     }
 }
 
@@ -221,14 +207,6 @@ enum CoreStream {
 }
 
 impl CoreStream {
-    #[inline]
-    fn next(&mut self) -> Option<Slot> {
-        match self {
-            CoreStream::Finite(s) => s.next_slot(),
-            CoreStream::Looping(s) => s.next_slot(),
-        }
-    }
-
     /// Batched generation: one virtual call refills the core's buffer
     /// with up to [`cochar_trace::FILL_BATCH`] source slots.
     #[inline]
@@ -272,8 +250,8 @@ struct CoreState {
     finished: bool,
     /// Dense per-pc counters (compacted into `ctr.pc_stats` at run end).
     pc_table: Vec<PcCounters>,
-    /// Generation buffer of the batched fast path; the reference engine
-    /// pulls per slot and leaves it empty.
+    /// Generation buffer: `advance` consumes it and refills it from
+    /// `stream`.
     buf: SlotBuf,
     /// Next unconsumed entry in `buf`.
     buf_pos: usize,
@@ -313,68 +291,24 @@ enum AdvanceResult {
     Finished,
 }
 
-/// The engine's in-flight line set (`line -> fill completion cycle`),
-/// probed up to three times per shared access. The fast variant is the
-/// open-addressing [`FastMap`]; the reference variant keeps the original
-/// SipHash `HashMap` for the equivalence suite. Both expose value-level
-/// semantics only (no iteration order leaks into outcomes).
-enum Inflight {
-    Reference(HashMap<u64, u64>),
-    Fast(FastMap),
-}
-
-impl Inflight {
-    #[inline]
-    fn get(&self, line: u64) -> Option<u64> {
-        match self {
-            Inflight::Reference(m) => m.get(&line).copied(),
-            Inflight::Fast(m) => m.get(line),
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, line: u64, completion: u64) {
-        match self {
-            Inflight::Reference(m) => {
-                m.insert(line, completion);
-            }
-            Inflight::Fast(m) => m.insert(line, completion),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            Inflight::Reference(m) => m.len(),
-            Inflight::Fast(m) => m.len(),
-        }
-    }
-
-    /// Drops entries whose fill completed at or before `now`.
-    fn prune(&mut self, now: u64) {
-        match self {
-            Inflight::Reference(m) => m.retain(|_, &mut c| c > now),
-            Inflight::Fast(m) => m.retain(|_, c| c > now),
-        }
-    }
-}
-
 struct Engine<'a> {
     cfg: &'a MachineConfig,
     cores: Vec<CoreState>,
     privs: Vec<PrivCache>,
     llc: Cache,
     mem: MemoryController,
-    inflight: Inflight,
+    /// In-flight lines (`line -> fill completion cycle`), probed up to
+    /// three times per shared access. Reads filter on `completion > now`,
+    /// so only values are observable, never iteration order.
+    inflight: FastMap,
     pf_buf: Vec<PrefetchReq>,
     app_names: Vec<String>,
     app_roles: Vec<Role>,
     app_threads: Vec<usize>,
-    reference: bool,
 }
 
 impl<'a> Engine<'a> {
-    fn new(cfg: &'a MachineConfig, msr: Msr, apps: &[AppSpec], reference: bool) -> Self {
+    fn new(cfg: &'a MachineConfig, msr: Msr, apps: &[AppSpec]) -> Self {
         let mut cores = Vec::new();
         let mut privs = Vec::new();
         for (ai, app) in apps.iter().enumerate() {
@@ -413,38 +347,23 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        let mut llc = Cache::new(&cfg.llc);
-        let mut mem = MemoryController::with_channels(
-            cfg.line_service_millicycles,
-            cfg.dram_latency,
-            cfg.epoch_cycles,
-            apps.len(),
-            cfg.channels,
-        );
-        if reference {
-            llc.set_reference(true);
-            mem.set_reference(true);
-            for p in &mut privs {
-                p.l1.set_reference(true);
-                p.l2.set_reference(true);
-            }
-        }
         Engine {
             cfg,
             cores,
             privs,
-            llc,
-            mem,
-            inflight: if reference {
-                Inflight::Reference(HashMap::new())
-            } else {
-                Inflight::Fast(FastMap::new())
-            },
+            llc: Cache::new(&cfg.llc),
+            mem: MemoryController::with_channels(
+                cfg.line_service_millicycles,
+                cfg.dram_latency,
+                cfg.epoch_cycles,
+                apps.len(),
+                cfg.channels,
+            ),
+            inflight: FastMap::new(),
             pf_buf: Vec::with_capacity(16),
             app_names: apps.iter().map(|a| a.name.clone()).collect(),
             app_roles: apps.iter().map(|a| a.role).collect(),
             app_threads: apps.iter().map(|a| a.threads).collect(),
-            reference,
         }
     }
 
@@ -467,10 +386,10 @@ impl<'a> Engine<'a> {
         // instruction retirement, against the configured stall window.
         let mut last_retired: u64 = 0;
         let mut retired_at: u64 = 0;
-        // Fast-path running total of retired instructions: `advance` on
-        // core `i` is the only place instruction counters move, so adding
-        // each call's delta keeps this equal to the per-pop sum the
-        // reference path computes — without the O(cores) walk per event.
+        // Running total of retired instructions over all cores: `advance`
+        // on core `i` is the only place instruction counters move, so
+        // adding each call's delta keeps this equal to the per-core sum
+        // without an O(cores) walk per event.
         let mut retired_total: u64 = 0;
         // The core holding the current turn. `None` means take the next
         // one from the heap.
@@ -492,13 +411,8 @@ impl<'a> Engine<'a> {
                 horizon = t;
                 break;
             }
-            let retired: u64 = if self.reference {
-                self.cores.iter().map(|c| c.ctr.instructions).sum()
-            } else {
-                retired_total
-            };
-            if retired > last_retired {
-                last_retired = retired;
+            if retired_total > last_retired {
+                last_retired = retired_total;
                 retired_at = t;
             } else if self.cfg.stall_cycles > 0
                 && t.saturating_sub(retired_at) > self.cfg.stall_cycles
@@ -530,8 +444,7 @@ impl<'a> Engine<'a> {
                     // twice), making this bit-identical to going through
                     // the heap; the watchdog/truncation prologue above
                     // still runs for the retaken turn.
-                    let stays = !self.reference
-                        && heap.peek().is_none_or(|&Reverse(top)| (nt, i) < top);
+                    let stays = heap.peek().is_none_or(|&Reverse(top)| (nt, i) < top);
                     if stays {
                         next = Some((nt, i));
                     } else {
@@ -613,20 +526,27 @@ impl<'a> Engine<'a> {
 
     /// Runs private work on core `i` until it needs the shared levels, its
     /// quantum expires, or its stream ends.
-    #[inline]
+    ///
+    /// Slots come from the core's generation buffer, refilled with one
+    /// virtual `fill()` per [`cochar_trace::FILL_BATCH`] source slots;
+    /// counter deltas accumulate in locals that flush to `CoreCounters`
+    /// once per exit. The result is the same as consuming the stream one
+    /// `next_slot` at a time, because:
+    ///
+    /// * the buffer expands to exactly the slot sequence `next_slot`
+    ///   would yield (`fill` contract, proptested in `cochar-trace`), and
+    ///   refills happen only on a fully consumed buffer, which is what
+    ///   lets `LoopingStream` count restarts at the same consumption
+    ///   points as a per-slot pull;
+    /// * a [`BufEntry::ComputeRun`] is consumed with per-unit atomicity:
+    ///   the closed form retires `min(count, ceil((deadline - time) /
+    ///   unit))` units, exactly where a per-slot deadline check would
+    ///   stop — including the final unit's overshoot past the deadline,
+    ///   which fixes pause/requeue times (and therefore co-run
+    ///   interleavings, truncation and stall horizons);
+    /// * every exit path flushes the local time/counter deltas before
+    ///   anything else can observe the core.
     fn advance(&mut self, i: usize) -> AdvanceResult {
-        if self.reference {
-            self.advance_reference(i)
-        } else {
-            self.advance_batched(i)
-        }
-    }
-
-    /// The original per-slot advance: one virtual `next()` per slot, all
-    /// counters updated in place. This is "batching disabled" — the
-    /// reference flavor the equivalence suite byte-compares the batched
-    /// loop against.
-    fn advance_reference(&mut self, i: usize) -> AdvanceResult {
         let core = &mut self.cores[i];
         let privs = &mut self.privs[i];
         let deadline = core.time + QUANTUM;
@@ -637,107 +557,8 @@ impl<'a> Engine<'a> {
         // progresses without retirement and the engine-level stall
         // watchdog classifies the run. Real generators emit `Compute(0)`
         // only interleaved with memory accesses, never in long runs.
-        const ZERO_PROGRESS_SLOTS: u32 = 4096;
-        let mut zero_slots: u32 = 0;
-        loop {
-            if core.time >= deadline {
-                return AdvanceResult::QuantumExpired;
-            }
-            if zero_slots >= ZERO_PROGRESS_SLOTS {
-                // Attribute the skipped span: these cycles elapse without
-                // retirement and must not vanish from the accounting.
-                core.ctr.idle_cycles += deadline - core.time;
-                core.time = deadline;
-                return AdvanceResult::QuantumExpired;
-            }
-            match core.stream.next() {
-                None => {
-                    let drain = core.outstanding.iter().copied().max().unwrap_or(0);
-                    core.time = core.time.max(drain).max(1);
-                    core.outstanding.clear();
-                    core.finished = true;
-                    return AdvanceResult::Finished;
-                }
-                Some(Slot::Compute(n)) => {
-                    core.time += u64::from(n);
-                    core.ctr.instructions += u64::from(n);
-                    if n == 0 {
-                        zero_slots += 1;
-                    } else {
-                        zero_slots = 0;
-                    }
-                }
-                Some(Slot::Load { addr, pc, dep }) => {
-                    zero_slots = 0; // loads always advance time or pause
-                    core.ctr.instructions += 1;
-                    core.ctr.loads += 1;
-                    if dep && core.last_load_completion > core.time {
-                        core.ctr.dep_stall_cycles += core.last_load_completion - core.time;
-                        core.time = core.last_load_completion;
-                    }
-                    let line = addr / LINE_BYTES;
-                    if let Some(hit) = privs.l1.access(line) {
-                        core.ctr.l1_hits += 1;
-                        core.pc_stat(pc).accesses += 1;
-                        if hit.was_prefetched {
-                            core.ctr.prefetch_useful += 1;
-                        }
-                        core.last_load_completion =
-                            core.time + u64::from(self.cfg.l1d.latency);
-                        core.time += 1;
-                    } else {
-                        Self::resolve_mshr(core, self.cfg.mlp);
-                        core.pending = Some(PendingMem { line, is_store: false, pc });
-                        return AdvanceResult::Paused;
-                    }
-                }
-                Some(Slot::Store { addr, pc }) => {
-                    zero_slots = 0; // stores always advance time or pause
-                    core.ctr.instructions += 1;
-                    core.ctr.stores += 1;
-                    let line = addr / LINE_BYTES;
-                    if privs.l1.access(line).is_some() {
-                        core.ctr.l1_hits += 1;
-                        core.pc_stat(pc).accesses += 1;
-                        privs.l1.mark_dirty(line);
-                        core.time += 1;
-                    } else {
-                        Self::resolve_mshr(core, self.cfg.mlp);
-                        core.pending = Some(PendingMem { line, is_store: true, pc });
-                        return AdvanceResult::Paused;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The batched fast path: consumes slots from the core's generation
-    /// buffer, refilling it with one virtual `fill()` per
-    /// [`cochar_trace::FILL_BATCH`] source slots, and accumulates counter
-    /// deltas in locals that flush to `CoreCounters` once per exit.
-    ///
-    /// Byte-identity with [`Engine::advance_reference`] rests on three
-    /// invariants:
-    ///
-    /// * the buffer expands to exactly the slot sequence `next_slot`
-    ///   would yield (`fill` contract, proptested in `cochar-trace`), and
-    ///   refills happen only on a fully consumed buffer, which is what
-    ///   lets `LoopingStream` count restarts at the same consumption
-    ///   points as the per-slot path;
-    /// * a [`BufEntry::ComputeRun`] is consumed with per-unit atomicity:
-    ///   the closed form retires `min(count, ceil((deadline - time) /
-    ///   unit))` units, exactly where the per-slot loop's deadline check
-    ///   would stop — including the final unit's overshoot past the
-    ///   deadline, which is what keeps pause/requeue times (and therefore
-    ///   co-run interleavings, truncation and stall horizons) identical;
-    /// * every exit path flushes the local time/counter deltas before
-    ///   anything else can observe the core.
-    fn advance_batched(&mut self, i: usize) -> AdvanceResult {
-        let core = &mut self.cores[i];
-        let privs = &mut self.privs[i];
-        let deadline = core.time + QUANTUM;
-        // Livelock guard: see `advance_reference`. `Compute(0)` slots are
-        // never coalesced, so the count advances slot for slot.
+        // `Compute(0)` slots are never coalesced into a `ComputeRun`, so
+        // the count advances slot for slot.
         const ZERO_PROGRESS_SLOTS: u32 = 4096;
         let mut zero_slots: u32 = 0;
         let mut time = core.time;
@@ -766,6 +587,8 @@ impl<'a> Engine<'a> {
                 return AdvanceResult::QuantumExpired;
             }
             if zero_slots >= ZERO_PROGRESS_SLOTS {
+                // Attribute the skipped span: these cycles elapse without
+                // retirement and must not vanish from the accounting.
                 core.ctr.idle_cycles += deadline - time;
                 time = deadline;
                 flush!();
@@ -1018,7 +841,7 @@ impl<'a> Engine<'a> {
         // resident in a host L2 — instead of letting it grow to 512 KiB of
         // randomly-probed cold memory.
         if self.inflight.len() >= 2_048 {
-            self.inflight.prune(now);
+            self.inflight.retain(|_, c| c > now);
         }
     }
 
@@ -1037,15 +860,13 @@ impl<'a> Engine<'a> {
     /// prefetch L2 probe) imply the bit was already set when the L2 copy
     /// was filled (an LLC eviction in between would have invalidated that
     /// copy). A core outside the mask therefore cannot hold the victim.
-    /// The reference engine keeps the full sweep so the equivalence suite
-    /// byte-compares the two.
     fn insert_llc(&mut self, line: u64, dirty: bool, prefetched: bool, now: u64, app: usize, core: usize) {
         if let Some(ev) = self.llc.insert_owned(line, dirty, prefetched, core) {
             let mut writeback = ev.dirty;
             if self.cfg.llc_inclusive {
                 let _t = crate::stats::PhaseTimer::start(&crate::stats::INVAL_NS);
                 for (ci, p) in self.privs.iter_mut().enumerate() {
-                    if !self.reference && ev.owners & crate::cache::owner_bit(ci) == 0 {
+                    if ev.owners & crate::cache::owner_bit(ci) == 0 {
                         continue;
                     }
                     if p.l1.invalidate(ev.line) == Some(true) {

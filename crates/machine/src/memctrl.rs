@@ -72,9 +72,6 @@ pub struct MemoryController {
     /// the cached epoch and skips the division + resize check.
     cur_epoch: usize,
     cur_epoch_start: u64,
-    /// Selects the per-request reference accounting (division every call)
-    /// for the equivalence suite.
-    reference: bool,
 }
 
 impl MemoryController {
@@ -110,15 +107,7 @@ impl MemoryController {
             write_lines: 0,
             cur_epoch: 0,
             cur_epoch_start: 0,
-            reference: false,
         }
-    }
-
-    /// Selects the reference (per-request division) accounting path.
-    /// Outcome-equivalent to the cached-epoch fast path; exists so the
-    /// equivalence suite can prove that claim run by run.
-    pub fn set_reference(&mut self, reference: bool) {
-        self.reference = reference;
     }
 
     /// Books one line of traffic for `app` into the epoch of the *request*
@@ -133,8 +122,7 @@ impl MemoryController {
         // (engine time is nearly monotone, so this is the common case) —
         // no division, no resize check. `wrapping_sub` makes an earlier
         // cycle fall through to the slow path as a huge offset.
-        let epoch = if !self.reference
-            && request_cycle.wrapping_sub(self.cur_epoch_start) < self.epoch_cycles
+        let epoch = if request_cycle.wrapping_sub(self.cur_epoch_start) < self.epoch_cycles
             && self.cur_epoch < self.epochs.len()
         {
             self.cur_epoch
@@ -380,27 +368,27 @@ mod tests {
         assert_eq!(c.app_bytes_until(0, 1000), 300 * LINE_BYTES);
     }
 
-    /// The cached-epoch fast path must book every request into the same
-    /// epoch as the per-request division, including backward time jumps
-    /// and multi-epoch skips.
+    /// The cached-epoch fast path must book every request into epoch
+    /// `t / epoch_cycles`, including backward time jumps and multi-epoch
+    /// skips.
     #[test]
-    fn cached_epoch_accounting_matches_reference_for_any_order() {
+    fn cached_epoch_accounting_matches_division_for_any_order() {
         let times =
             [0u64, 500, 999, 1000, 1500, 1499, 2, 10_000, 9_999, 10_001, 0, 2_000, 1_999];
-        let mut fast = ctrl();
-        let mut slow = ctrl();
-        slow.set_reference(true);
+        let mut c = ctrl();
+        let mut expected = vec![EpochTraffic::new(2); 11];
         for (i, &t) in times.iter().enumerate() {
             let app = i % 2;
+            let e = &mut expected[(t / 1000) as usize];
             if i % 3 == 0 {
-                fast.request_write(t, app);
-                slow.request_write(t, app);
+                c.request_write(t, app);
+                e.write_bytes[app] += LINE_BYTES;
             } else {
-                fast.request_read(t, app);
-                slow.request_read(t, app);
+                c.request_read(t, app);
+                e.read_bytes[app] += LINE_BYTES;
             }
         }
-        assert_eq!(fast.epochs(), slow.epochs());
+        assert_eq!(c.epochs(), expected);
     }
 
     #[test]

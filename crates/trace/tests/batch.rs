@@ -4,10 +4,10 @@
 //! adversarial, group-splitting) refill budgets.
 //!
 //! This is the trace-level half of the engine's byte-identity argument:
-//! the equivalence suite (`tests/engine_equivalence.rs`) proves batched
-//! and per-slot *engines* agree on full `RunOutcome`s; these properties
-//! prove every stream the engines can be fed agrees at the slot level,
-//! so a future hand-written `fill` cannot silently resequence.
+//! the golden outcome corpus (`tests/golden_outcomes.rs`) pins the
+//! batched engine's full `RunOutcome`s; these properties prove every
+//! stream the engine can be fed agrees at the slot level, so a future
+//! hand-written `fill` cannot silently resequence.
 
 use std::sync::Arc;
 

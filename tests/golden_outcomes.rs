@@ -6,7 +6,8 @@
 //! Every engine optimization must leave these bytes unchanged. The cases,
 //! all at `MachineConfig::tiny()` and `Scale::tiny()`:
 //!
-//! * `solo/<app>`: every registry workload alone, one thread;
+//! * `solo/<app>`: every registry workload alone, one thread (the 25
+//!   applications and the two mini-benchmarks);
 //! * `pair/<round>/<fg>+<bg>/s<seed>`: 12 foreground/background pairs
 //!   drawn by SplitMix64 from seed `0x7a1e_5eed`;
 //! * `mt/<fg>+<bg>`: two 2+2-thread pairs on 4 cores, which exercise
@@ -15,19 +16,17 @@
 //!   mid-quantum, so any consumption past it would leak into counters;
 //! * `msr-off/fotonik3d`: every prefetcher disabled.
 //!
-//! The fixture `golden_outcomes.txt` was captured at commit a5e7076, where
-//! a separate per-slot reference engine still ran beside the optimized
-//! one and an equivalence suite proved both byte-identical on exactly
-//! these cases. The digests are therefore that reference engine's output.
-//! Regenerate the fixture with
+//! The fixture `golden_outcomes.txt` was captured at commit c1b89ed. Its
+//! machine crate still carried a second, pre-optimization engine beside
+//! the optimized one, and an equivalence suite proved the two
+//! byte-identical on exactly these cases, so the digests are also that
+//! second engine's output. Regenerate the fixture with
 //!
 //! ```text
 //! cargo test --test golden_outcomes -- --ignored regenerate_fixture
 //! ```
 //!
 //! only when an outcome change is intended, and say so.
-
-use std::sync::Arc;
 
 use cochar::machine::StableHasher;
 use cochar::prelude::*;
