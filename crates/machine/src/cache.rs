@@ -506,10 +506,6 @@ mod tests {
             self.lines[(line % self.sets) as usize].iter().any(|l| l.tag == line)
         }
 
-        fn probe(&mut self, line: u64) -> bool {
-            self.contains(line)
-        }
-
         fn probe_owned(&mut self, line: u64, core: usize) -> bool {
             self.find(line).map(|l| l.owners |= owner_bit(core)).is_some()
         }
@@ -729,7 +725,7 @@ mod tests {
                     quick.mark_dirty(line);
                 }
                 4 => {
-                    assert_eq!(slow.probe(line), quick.probe(line), "step {step}");
+                    assert_eq!(slow.contains(line), quick.probe(line), "step {step}");
                 }
                 5 => {
                     assert_eq!(slow.invalidate(line), quick.invalidate(line), "step {step}");
@@ -768,7 +764,7 @@ mod tests {
         let mut rng = Rng(0x9_1a4);
         for step in 0..6000 {
             let line = rng.next() % 24;
-            assert_eq!(slow.probe(line), quick.probe(line), "step {step}");
+            assert_eq!(slow.contains(line), quick.probe(line), "step {step}");
             // Half the time, mutate between probe and insert so the plan
             // goes stale and the fallback scan must take over.
             if rng.next().is_multiple_of(2) {
