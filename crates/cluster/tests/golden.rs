@@ -11,10 +11,14 @@
 //! * a 5-app matrix with sub-1.0 (constructive) entries;
 //! * the benchmark's shape: 1000 nodes × 2 slots, 5000 jobs, utilization
 //!   0.7, on a synthetic 6-app matrix, with truth as knowledge and with a
-//!   perturbed knowledge matrix.
+//!   perturbed knowledge matrix;
+//! * the same matrices and utilization at 1000 nodes × 4 slots, under
+//!   both compositions, so that nodes hold bundles of two to four apps.
 //!
 //! The fixture `golden_bits.txt` was captured from the engine as it was
-//! at commit 450d4d1, before the running-job state became dense, with
+//! at commit 450d4d1, before the running-job state became dense. The
+//! `wide/` lines were appended at commit 0c59de7, before placement
+//! policies read the engine's node index. Both were written with
 //!
 //! ```text
 //! cargo test -p cochar-cluster --test golden -- --ignored regenerate_fixture
@@ -166,6 +170,25 @@ fn lines() -> Vec<String> {
                 ..SimConfig::default()
             };
             out.push(run(format!("bench/{kind}/{label}"), &truth, knowledge, kind, &list, cfg));
+        }
+    }
+
+    // The bench truth at four slots: partly full nodes hold one to three
+    // apps, so interference-aware placement compares multi-app bundles.
+    let list = jobs(&truth, 5000, 0.7, 1000, 4, 7);
+    for kind in PolicyKind::all() {
+        for compose in compositions {
+            for (label, knowledge) in [("measured", &truth), ("predicted", &predicted)] {
+                let cfg = SimConfig {
+                    nodes: 1000,
+                    slots: 4,
+                    compose,
+                    defrag_period: kind.wants_defrag().then_some(25.0),
+                    ..SimConfig::default()
+                };
+                let name = format!("wide/{kind}/{compose}/{label}");
+                out.push(run(name, &truth, knowledge, kind, &list, cfg));
+            }
         }
     }
     out
