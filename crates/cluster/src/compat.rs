@@ -62,6 +62,7 @@ impl<P: OnlinePolicy> ClusterPolicy for OnlineAdapter<P> {
 mod tests {
     use super::*;
     use crate::compose::Compose;
+    use crate::index::NodeIndex;
     use cochar_sched::CostMatrix;
 
     fn matrix() -> CostMatrix {
@@ -71,8 +72,23 @@ mod tests {
         }
     }
 
-    fn view<'a>(m: &'a CostMatrix, nodes: &'a [Vec<usize>], app: usize) -> ClusterView<'a> {
-        ClusterView { knowledge: m, nodes, slots: 2, app, compose: Compose::Max, qos_cap: 1.5 }
+    fn place(
+        p: &mut dyn ClusterPolicy,
+        m: &CostMatrix,
+        nodes: &[Vec<usize>],
+        app: usize,
+    ) -> Placement {
+        let index = NodeIndex::new(nodes, 2);
+        let view = ClusterView {
+            knowledge: m,
+            nodes,
+            index: &index,
+            slots: 2,
+            app,
+            compose: Compose::Max,
+            qos_cap: 1.5,
+        };
+        p.place(&view)
     }
 
     #[test]
@@ -89,8 +105,8 @@ mod tests {
         ];
         for nodes in &boards {
             assert_eq!(
-                adapted.place(&view(&m, nodes, 1)),
-                native.place(&view(&m, nodes, 1)),
+                place(&mut adapted, &m, nodes, 1),
+                place(&mut native, &m, nodes, 1),
                 "diverged on {nodes:?}"
             );
         }
@@ -111,8 +127,8 @@ mod tests {
         for nodes in &boards {
             for app in 0..2 {
                 assert_eq!(
-                    adapted.place(&view(&m, nodes, app)),
-                    native.place(&view(&m, nodes, app)),
+                    place(&mut adapted, &m, nodes, app),
+                    place(&mut native, &m, nodes, app),
                     "diverged on {nodes:?} app {app}"
                 );
             }
@@ -124,10 +140,12 @@ mod tests {
     fn adapter_rejects_non_two_slot_scenarios() {
         let m = matrix();
         let nodes = vec![vec![], vec![]];
+        let index = NodeIndex::new(&nodes, 4);
         let mut adapted = OnlineAdapter::new(cochar_sched::online::FirstFit);
         let v = ClusterView {
             knowledge: &m,
             nodes: &nodes,
+            index: &index,
             slots: 4,
             app: 0,
             compose: Compose::Max,

@@ -14,6 +14,8 @@
 //!   slowdowns ([`Compose::Max`] / [`Compose::Product`]).
 //! * [`job`] — seeded Poisson workload generation and the CSV trace
 //!   format.
+//! * [`index`] — the occupancy index the engine keeps and policies
+//!   decide from: free nodes by occupancy and by member app sequence.
 //! * [`policy`] — pluggable placement policies (random, first-fit,
 //!   best-fit, spread, interference-aware, defrag) over k-slot nodes.
 //! * [`sim`] — the engine: truth matrix drives progress rates, knowledge
@@ -34,6 +36,7 @@
 pub mod compat;
 pub mod compose;
 pub mod event;
+pub mod index;
 pub mod job;
 pub mod policy;
 pub mod report;
@@ -42,6 +45,7 @@ pub mod sim;
 pub use compat::OnlineAdapter;
 pub use compose::Compose;
 pub use event::{Event, EventQueue};
+pub use index::NodeIndex;
 pub use job::{parse_trace, render_trace, Job, Workload};
 pub use policy::{ClusterPolicy, ClusterView, Placement, PolicyKind};
 pub use report::{RegretReport, RunRecord, Scenario, MEASURED, PREDICTED};

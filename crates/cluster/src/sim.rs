@@ -20,6 +20,14 @@
 //! a loop that skipped idle nodes. Results are bit-identical to it
 //! (`tests/golden.rs`).
 //!
+//! Placement decisions do not walk the nodes. The engine owns a
+//! [`NodeIndex`] of the free nodes by occupancy and by member app
+//! sequence, and updates it wherever a node's app list changes: when a
+//! job starts, when one completes, and at both ends of a defragmentation
+//! move. Policies read it through [`ClusterView::index`].
+//! Defragmentation itself still scans every node; it runs once per
+//! defragmentation period, not once per event.
+//!
 //! At two slots per node this engine reproduces
 //! `cochar_sched::online::simulate` to within floating-point noise
 //! (pinned at 1e-9 by `tests/crosscheck.rs`), which is what licenses
@@ -31,6 +39,7 @@ use cochar_sched::CostMatrix;
 
 use crate::compose::Compose;
 use crate::event::{Event, EventQueue};
+use crate::index::NodeIndex;
 use crate::job::Job;
 use crate::policy::{ClusterPolicy, ClusterView, Placement};
 
@@ -178,6 +187,17 @@ pub fn simulate(
             truth.len()
         ));
     }
+    for (label, m) in [("truth", truth), ("knowledge", knowledge)] {
+        let n = m.len();
+        if m.slow.len() != n || m.slow.iter().any(|row| row.len() != n) {
+            return config_err(format!("{label} matrix is not {n}x{n}"));
+        }
+        if let Some(bad) = m.slow.iter().flatten().find(|v| !(v.is_finite() && **v > 0.0)) {
+            return config_err(format!(
+                "{label} matrix entry {bad} is not a positive finite number"
+            ));
+        }
+    }
     for (i, j) in jobs.iter().enumerate() {
         if j.app >= truth.len() {
             return config_err(format!("job {i}: app {} outside the {}-app matrix", j.app, truth.len()));
@@ -190,13 +210,15 @@ pub fn simulate(
         }
     }
 
+    let node_apps = vec![Vec::new(); cfg.nodes];
     let mut e = Engine {
         truth,
         knowledge,
         jobs,
         cfg: *cfg,
         node_members: vec![Vec::new(); cfg.nodes],
-        node_apps: vec![Vec::new(); cfg.nodes],
+        index: NodeIndex::new(&node_apps, cfg.slots),
+        node_apps,
         occupancy: vec![0.0; cfg.nodes],
         active: vec![0.0; cfg.nodes],
         violating: vec![0.0; cfg.nodes],
@@ -249,6 +271,9 @@ struct Engine<'a> {
     node_members: Vec<Vec<usize>>,
     /// Apps on each node (parallel to `node_members`; what policies see).
     node_apps: Vec<Vec<usize>>,
+    /// `node_apps` by occupancy and member sequence, kept current by
+    /// `add_member` and `remove_member`.
+    index: NodeIndex,
     /// Occupied slots of each node, as a float for the ledger pass.
     occupancy: Vec<f64>,
     /// 1.0 for a non-empty node, else 0.0.
@@ -338,13 +363,7 @@ impl Engine<'_> {
                 self.finish[j] = self.now;
                 self.makespan = self.makespan.max(self.now);
                 let node = self.node_of[j];
-                let pos = self.node_members[node]
-                    .iter()
-                    .position(|&m| m == j)
-                    .expect("member bookkeeping");
-                self.node_members[node].remove(pos);
-                self.node_apps[node].remove(pos);
-                self.node_of[j] = usize::MAX;
+                self.remove_member(node, j);
                 self.epoch[j] += 1; // invalidate its pending JobEnd
                 dirty.push(node);
             } else {
@@ -353,10 +372,35 @@ impl Engine<'_> {
         }
     }
 
+    /// Puts `job` on `node`'s member list, keeping `node_of` and the
+    /// index current.
+    fn add_member(&mut self, node: usize, job: usize) {
+        self.index.remove(node, &self.node_apps[node]);
+        self.node_members[node].push(job);
+        self.node_apps[node].push(self.jobs[job].app);
+        self.index.insert(node, &self.node_apps[node]);
+        self.node_of[job] = node;
+    }
+
+    /// Takes `job` off `node`'s member list, keeping `node_of` and the
+    /// index current.
+    fn remove_member(&mut self, node: usize, job: usize) {
+        self.index.remove(node, &self.node_apps[node]);
+        let pos = self.node_members[node]
+            .iter()
+            .position(|&m| m == job)
+            .expect("member bookkeeping");
+        self.node_members[node].remove(pos);
+        self.node_apps[node].remove(pos);
+        self.index.insert(node, &self.node_apps[node]);
+        self.node_of[job] = usize::MAX;
+    }
+
     fn view(&self, app: usize) -> ClusterView<'_> {
         ClusterView {
             knowledge: self.knowledge,
             nodes: &self.node_apps,
+            index: &self.index,
             slots: self.cfg.slots,
             app,
             compose: self.cfg.compose,
@@ -388,9 +432,7 @@ impl Engine<'_> {
                 ),
             });
         }
-        self.node_members[node].push(job);
-        self.node_apps[node].push(self.jobs[job].app);
-        self.node_of[job] = node;
+        self.add_member(node, job);
         self.slot_of[job] = self.run_job.len();
         self.run_job.push(job);
         self.run_rem.push(self.jobs[job].work);
@@ -515,15 +557,8 @@ impl Engine<'_> {
                 break;
             }
             for (job, target) in plan {
-                let pos = self.node_members[src]
-                    .iter()
-                    .position(|&m| m == job)
-                    .expect("defrag bookkeeping");
-                self.node_members[src].remove(pos);
-                self.node_apps[src].remove(pos);
-                self.node_members[target].push(job);
-                self.node_apps[target].push(self.jobs[job].app);
-                self.node_of[job] = target;
+                self.remove_member(src, job);
+                self.add_member(target, job);
                 self.migrations += 1;
                 dirty.push(target);
             }
@@ -827,6 +862,25 @@ mod tests {
         assert!(simulate(&m, &m, &mut FirstFit, &[], &cfg(0, 2)).is_err());
         let mismatched = CostMatrix { names: vec!["x".into()], slow: vec![vec![1.0]] };
         assert!(simulate(&m, &mismatched, &mut FirstFit, &[], &cfg(1, 2)).is_err());
+        // Both matrices must be square with positive finite entries: a NaN
+        // truth entry would turn rates and event times into NaN, and a
+        // ragged row would index out of bounds.
+        let jobs = burst(&[0, 1]);
+        let mut nan = matrix();
+        nan.slow[0][1] = f64::NAN;
+        let mut ragged = matrix();
+        ragged.slow[1].pop();
+        let mut zero = matrix();
+        zero.slow[1][1] = 0.0;
+        for bad in [&nan, &ragged, &zero] {
+            for (truth, knowledge) in [(bad, &m), (&m, bad)] {
+                let err = simulate(truth, knowledge, &mut FirstFit, &jobs, &cfg(1, 2)).unwrap_err();
+                assert!(matches!(err, SimError::Config { .. }), "{err}");
+            }
+        }
+        let missing_row = CostMatrix { names: m.names.clone(), slow: vec![m.slow[0].clone()] };
+        let err = simulate(&m, &missing_row, &mut FirstFit, &jobs, &cfg(1, 2)).unwrap_err();
+        assert!(err.to_string().contains("knowledge matrix is not 2x2"), "{err}");
     }
 
     #[test]

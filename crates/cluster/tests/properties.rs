@@ -12,11 +12,18 @@
 //!
 //! Sub-1.0 entries legitimately break the first invariant; a dedicated
 //! regression pins that behavior instead.
+//!
+//! At every decision, the node index the engine keeps up to date through
+//! starts, completions and defragmentation moves describes exactly the
+//! board a fresh build from the node lists describes.
 
 use proptest::prelude::*;
 use proptest::Just;
 
-use cochar_cluster::{simulate, Compose, Job, PolicyKind, SimConfig};
+use cochar_cluster::{
+    simulate, ClusterPolicy, ClusterView, Compose, Job, NodeIndex, Placement, PolicyKind,
+    SimConfig,
+};
 use cochar_sched::CostMatrix;
 
 /// Matrices with entries in [1.0, 3.0): no constructive co-runs.
@@ -124,6 +131,71 @@ proptest! {
         prop_assert_eq!(oa.node_seconds.to_bits(), ob.node_seconds.to_bits());
         prop_assert_eq!(oa.energy.to_bits(), ob.energy.to_bits());
         prop_assert_eq!(oa.migrations, ob.migrations);
+    }
+}
+
+/// Delegates to `inner` after checking that the engine's index answers
+/// exactly like one built afresh from the view's node lists.
+struct IndexChecked {
+    inner: Box<dyn ClusterPolicy>,
+    decisions: usize,
+}
+
+impl ClusterPolicy for IndexChecked {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn place(&mut self, view: &ClusterView<'_>) -> Placement {
+        assert_eq!(
+            *view.index,
+            NodeIndex::new(view.nodes, view.slots),
+            "decision {}: the engine's index drifted from its node lists",
+            self.decisions
+        );
+        self.decisions += 1;
+        self.inner.place(view)
+    }
+}
+
+/// Slots 1–4 with defragmentation on or off for any policy, so index
+/// updates from starts, completions and migrations are all exercised.
+fn index_scenario_strategy() -> impl Strategy<Value = (CostMatrix, Vec<Job>, SimConfig, usize)> {
+    matrix_strategy(4).prop_flat_map(|m| {
+        let apps = m.len();
+        (
+            Just(m),
+            jobs_strategy(apps, 60),
+            (1usize..8, 1usize..=4),
+            (0usize..PolicyKind::all().len(), any::<bool>(), any::<bool>()),
+        )
+            .prop_map(|(m, jobs, (nodes, slots), (kind, product, defrag))| {
+                let cfg = SimConfig {
+                    nodes,
+                    slots,
+                    compose: if product { Compose::Product } else { Compose::Max },
+                    defrag_period: defrag.then_some(2.5),
+                    ..SimConfig::default()
+                };
+                (m, jobs, cfg, kind)
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn the_engine_index_matches_a_fresh_build_at_every_decision(
+        scenario in index_scenario_strategy()
+    ) {
+        let (m, jobs, cfg, kind) = scenario;
+        let kind = PolicyKind::all()[kind];
+        let mut policy = IndexChecked { inner: kind.build(5, cfg.qos_cap), decisions: 0 };
+        let out =
+            simulate(&m, &m, &mut policy, &jobs, &cfg).expect("non-strict policies terminate");
+        prop_assert!(policy.decisions >= jobs.len(), "{kind}: {} decisions", policy.decisions);
+        prop_assert_eq!(out.jobs, jobs.len());
     }
 }
 
