@@ -17,8 +17,9 @@
 //!
 //! The fixture `golden_bits.txt` was captured from the engine as it was
 //! at commit 450d4d1, before the running-job state became dense. The
-//! `wide/` lines were appended at commit 0c59de7, before placement
-//! policies read the engine's node index. Both were written with
+//! `wide/` lines were captured from the engine as it was at commit
+//! 0c59de7, before placement policies read a node index. Both were
+//! written with
 //!
 //! ```text
 //! cargo test -p cochar-cluster --test golden -- --ignored regenerate_fixture
