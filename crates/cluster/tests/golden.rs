@@ -13,13 +13,22 @@
 //!   0.7, on a synthetic 6-app matrix, with truth as knowledge and with a
 //!   perturbed knowledge matrix;
 //! * the same matrices and utilization at 1000 nodes × 4 slots, under
-//!   both compositions, so that nodes hold bundles of two to four apps.
+//!   both compositions, so that nodes hold bundles of two to four apps;
+//! * spread and interference-aware placement at two slots under
+//!   [`Compose::Max`], on an asymmetric 4-app matrix with a sub-1.0
+//!   entry, over six job lists: three seeded lists on 16 nodes, an
+//!   overloaded 4-node list that keeps the queue long, a hand-built list
+//!   of 40 jobs in batches of eight simultaneous arrivals (the only
+//!   golden input with exact arrival ties, so it pins the batching
+//!   window), and a 400-job list on 12 nodes.
 //!
 //! The fixture `golden_bits.txt` was captured from the engine as it was
 //! at commit 450d4d1, before the running-job state became dense. The
 //! `wide/` lines were captured from the engine as it was at commit
-//! 0c59de7, before placement policies read a node index. Both were
-//! written with
+//! 0c59de7, before placement policies read a node index. The `twoslot/`
+//! lines were captured from the engine as it was at commit 61aca11,
+//! where an older two-slot simulator still agreed with it to 1e-9 on
+//! these lists. All were written with
 //!
 //! ```text
 //! cargo test -p cochar-cluster --test golden -- --ignored regenerate_fixture
@@ -57,6 +66,20 @@ fn perturbed(m: &CostMatrix, seed: u64) -> CostMatrix {
             .iter()
             .map(|row| row.iter().map(|&s| s * (0.85 + 0.3 * rng.next_f64())).collect())
             .collect(),
+    }
+}
+
+/// Four apps with asymmetric directed slowdowns, a constructive (sub-1.0)
+/// co-run, and pairs on both sides of the 1.5 QoS cap.
+fn asymmetric() -> CostMatrix {
+    CostMatrix {
+        names: vec!["a".into(), "b".into(), "c".into(), "d".into()],
+        slow: vec![
+            vec![1.05, 1.80, 0.90, 1.30],
+            vec![1.20, 1.10, 2.20, 1.45],
+            vec![1.60, 1.90, 1.00, 1.15],
+            vec![1.10, 1.55, 1.25, 1.02],
+        ],
     }
 }
 
@@ -190,6 +213,38 @@ fn lines() -> Vec<String> {
                 let name = format!("wide/{kind}/{compose}/{label}");
                 out.push(run(name, &truth, knowledge, kind, &list, cfg));
             }
+        }
+    }
+
+    let asym = asymmetric();
+    let seeded = |seed: u64, count: usize, rate: f64| {
+        Workload { arrival_rate: rate, mean_work: 8.0, seed }.generate(count, asym.len())
+    };
+    let ties: Vec<Job> = (0..40)
+        .map(|i| Job {
+            app: i % asym.len(),
+            arrival: (i / 8) as f64 * 4.0,
+            work: 5.0 + (i % 3) as f64,
+        })
+        .collect();
+    let lists = [
+        ("s1", 16, seeded(1, 300, 3.0)),
+        ("s7", 16, seeded(7, 300, 3.0)),
+        ("s42", 16, seeded(42, 300, 3.0)),
+        ("overload", 4, seeded(11, 200, 2.5)),
+        ("ties", 8, ties),
+        ("s23", 12, seeded(23, 400, 3.0)),
+    ];
+    for (label, nodes, list) in &lists {
+        for kind in [PolicyKind::Spread, PolicyKind::InterferenceAware] {
+            let cfg = SimConfig {
+                nodes: *nodes,
+                slots: 2,
+                qos_cap: 1.5,
+                compose: Compose::Max,
+                ..SimConfig::default()
+            };
+            out.push(run(format!("twoslot/{kind}/{label}"), &asym, &asym, kind, list, cfg));
         }
     }
     out
