@@ -136,7 +136,7 @@ mod tests {
             assert_eq!(c.bundle_cost(&m, &[0, 1]), m.cost(0, 1));
             assert_eq!(c.bundle_cost(&m, &[2]), 1.0);
         }
-        // Same-app pair uses the diagonal, like sched::online.
+        // A same-app pair uses the diagonal: the self-co-run slowdown.
         assert_eq!(Compose::Max.bundle_cost(&m, &[0, 0]), 1.1);
     }
 }

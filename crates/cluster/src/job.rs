@@ -1,8 +1,4 @@
-//! Job arrivals: seeded Poisson generation and trace files.
-//!
-//! Cluster jobs reuse [`cochar_sched::Job`] — `app` (matrix index),
-//! `arrival`, and `work` (solo runtime) — so the same job list drives both
-//! this crate's engine and `sched::online::simulate`.
+//! Job arrivals: the job type, seeded Poisson generation and trace files.
 //!
 //! # Trace format
 //!
@@ -17,8 +13,18 @@
 //! ```
 
 use cochar_sched::CostMatrix;
-pub use cochar_sched::Job;
 use cochar_trace::Lcg;
+
+/// A job to run: `work` is its solo runtime in abstract time units.
+#[derive(Clone, Debug)]
+pub struct Job {
+    /// Index into the cost matrix (the job's application type).
+    pub app: usize,
+    /// Arrival time.
+    pub arrival: f64,
+    /// Solo runtime.
+    pub work: f64,
+}
 
 /// A seeded open-loop arrival process: Poisson arrivals, uniform app mix,
 /// work drawn uniformly from `[0.5, 1.5) × mean_work`.

@@ -12,8 +12,8 @@
 //!   completions with epoch-based lazy invalidation, defrag ticks).
 //! * [`compose`] — k-way degradation composed from pairwise directed
 //!   slowdowns ([`Compose::Max`] / [`Compose::Product`]).
-//! * [`job`] — seeded Poisson workload generation and the CSV trace
-//!   format.
+//! * [`job`] — the job type, seeded Poisson workload generation, and the
+//!   CSV trace format.
 //! * [`index`] — the occupancy index the engine keeps and policies
 //!   decide from: free nodes by occupancy and by member app sequence.
 //! * [`policy`] — pluggable placement policies (random, first-fit,
@@ -23,17 +23,9 @@
 //!   time-integrated node-count, QoS-violation, and energy ledgers.
 //! * [`report`] — deterministic JSON/CSV regret report against the
 //!   offline-informed baseline.
-//! * [`compat`] — adapter running unmodified `sched::online` policies in
-//!   this engine (the cross-check harness).
-//!
-//! At `slots = 2` the engine reproduces `cochar_sched::online::simulate`
-//! to within 1e-9 on makespan, mean stretch, and node-seconds
-//! (`tests/crosscheck.rs`), so results here extend — rather than fork —
-//! the two-slot story.
 
 #![warn(missing_docs)]
 
-pub mod compat;
 pub mod compose;
 pub mod event;
 pub mod index;
@@ -42,7 +34,6 @@ pub mod policy;
 pub mod report;
 pub mod sim;
 
-pub use compat::OnlineAdapter;
 pub use compose::Compose;
 pub use event::{Event, EventQueue};
 pub use index::NodeIndex;

@@ -128,8 +128,7 @@ impl ClusterPolicy for BestFit {
 }
 
 /// Least-loaded node first (ties: lowest index) — spread for latency. At
-/// two slots this reproduces `sched::online::FirstFit` exactly: empty
-/// nodes first, then half-full ones.
+/// two slots a job shares a node only when no node is empty.
 pub struct Spread;
 
 impl ClusterPolicy for Spread {
@@ -147,8 +146,7 @@ impl ClusterPolicy for Spread {
 /// Interference-aware: the occupied free-slotted node with the cheapest
 /// composed bundle cost if it stays under the QoS cap; otherwise an
 /// empty node; only breach the cap when nothing else is available and
-/// `strict` is off. The k-slot generalization of
-/// `sched::online::InterferenceAware` (decision-identical at 2 slots).
+/// `strict` is off.
 pub struct InterferenceAware {
     /// Bundles at or above this cost are avoided.
     pub qos_cap: f64,
@@ -170,8 +168,8 @@ impl ClusterPolicy for InterferenceAware {
 
     fn place(&mut self, view: &ClusterView<'_>) -> Placement {
         // Cheapest *occupied* node with a free slot; among equal costs the
-        // lowest index wins, matching sched::online's first-minimum
-        // tie-break. Nodes with the same member sequence cost the same,
+        // lowest index wins, as in a scan in node order that keeps the
+        // first minimum. Nodes with the same member sequence cost the same,
         // so each class is costed once, with the arrival appended.
         let mut best: Option<(usize, f64)> = None;
         let mut bundle = Vec::with_capacity(view.slots);

@@ -27,11 +27,6 @@
 //! move. Policies read it through [`ClusterView::index`].
 //! Defragmentation itself still scans every node; it runs once per
 //! defragmentation period, not once per event.
-//!
-//! At two slots per node this engine reproduces
-//! `cochar_sched::online::simulate` to within floating-point noise
-//! (pinned at 1e-9 by `tests/crosscheck.rs`), which is what licenses
-//! demoting the old path to a fast special case.
 
 use std::collections::VecDeque;
 
@@ -43,10 +38,15 @@ use crate::index::NodeIndex;
 use crate::job::Job;
 use crate::policy::{ClusterPolicy, ClusterView, Placement};
 
-/// Completion epsilon on remaining work, matching `sched::online`.
+/// Completion epsilon on remaining work. Advancing by `dt * rate` to a
+/// predicted completion leaves rounding residue, not exactly zero; a job
+/// this close to done completes at that instant instead of re-aiming for
+/// a sliver.
 const DONE: f64 = 1e-9;
 
-/// Simultaneity window for arrival batching, matching `sched::online`.
+/// Simultaneity window for arrival batching: arrivals this close to the
+/// current instant join its batch and see the capacity its completions
+/// freed.
 const TIE: f64 = 1e-12;
 
 /// Scenario knobs for one simulation.
@@ -245,7 +245,7 @@ pub fn simulate(
     };
 
     // Arrival events in (time, index) order so simultaneous arrivals are
-    // processed in job-list order, like sched::online's stable sort.
+    // placed in job-list order, as a stable sort by arrival would.
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| jobs[a].arrival.total_cmp(&jobs[b].arrival).then(a.cmp(&b)));
     for &j in &order {
@@ -575,7 +575,8 @@ impl Engine<'_> {
             }
             self.now = t;
             // Completions first (frees capacity), then the FIFO queue,
-            // then arrivals due at this instant — sched::online's order.
+            // then arrivals due at this instant: jobs that already waited
+            // get freed capacity before jobs that arrive now.
             self.complete_due(&mut dirty);
             self.drain_queue(policy, &mut dirty)?;
             match ev {
@@ -747,6 +748,53 @@ mod tests {
         assert!(out.makespan > 20.0, "makespan {}", out.makespan);
         assert_eq!(out.peak_queue, 3);
         assert!(out.mean_stretch > 1.5);
+    }
+
+    #[test]
+    fn staggered_arrivals_respect_arrival_times() {
+        let m = matrix();
+        let jobs = vec![
+            Job { app: 0, arrival: 0.0, work: 5.0 },
+            Job { app: 0, arrival: 100.0, work: 5.0 },
+        ];
+        // The first job is long gone when the second arrives: both run solo.
+        let out = simulate(&m, &m, &mut FirstFit, &jobs, &cfg(1, 2)).unwrap();
+        assert_eq!(out.makespan, 105.0);
+        assert_eq!(out.mean_stretch, 1.0);
+        assert_eq!(out.node_seconds, 10.0);
+    }
+
+    #[test]
+    fn asymmetric_directed_slowdowns_drive_both_rates_and_qos() {
+        // app 0 *speeds up* next to app 1 (0.8x), app 1 suffers 1.6x.
+        let m = CostMatrix {
+            names: vec!["winner".into(), "loser".into()],
+            slow: vec![vec![1.0, 0.8], vec![1.6, 1.0]],
+        };
+        let out = simulate(&m, &m, &mut FirstFit, &burst(&[0, 1]), &cfg(1, 2)).unwrap();
+        // Job 0 runs at 1/0.8 = 1.25x and finishes at t = 8; job 1 ran at
+        // 1/1.6 until then (remaining 10 - 8*0.625 = 5) and solo after,
+        // finishing at t = 13.
+        assert!((out.makespan - 13.0).abs() < 1e-9, "makespan {}", out.makespan);
+        assert!((out.mean_stretch - (0.8 + 1.3) / 2.0).abs() < 1e-9, "stretch {}", out.mean_stretch);
+        // QoS: the 1.6 direction breaches the 1.5 cap while both run.
+        assert!((out.qos_violation_time - 8.0).abs() < 1e-9, "qos {}", out.qos_violation_time);
+    }
+
+    #[test]
+    fn strict_policy_queues_instead_of_breaching_the_cap() {
+        let m = matrix();
+        let strict = || InterferenceAware { qos_cap: 1.5, strict: true };
+        // A toxic pair on one node runs one after the other.
+        let out = simulate(&m, &m, &mut strict(), &burst(&[0, 1]), &cfg(1, 2)).unwrap();
+        assert_eq!(out.qos_violation_time, 0.0);
+        assert_eq!(out.peak_queue, 1);
+        assert!((out.makespan - 20.0).abs() < 1e-9, "makespan {}", out.makespan);
+        // A harmless pair shares the node (10 units at 1/1.05); the third
+        // job waits for a freed slot and then runs solo.
+        let out = simulate(&m, &m, &mut strict(), &burst(&[0, 0, 0]), &cfg(1, 2)).unwrap();
+        assert_eq!(out.peak_queue, 1);
+        assert!((out.makespan - 20.5).abs() < 1e-9, "makespan {}", out.makespan);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   entry, over six job lists: three seeded lists on 16 nodes, an
 //!   overloaded 4-node list that keeps the queue long, a hand-built list
 //!   of 40 jobs in batches of eight simultaneous arrivals (the only
-//!   golden input with exact arrival ties, so it pins the batching
-//!   window), and a 400-job list on 12 nodes.
+//!   golden input with exact arrival ties, so it pins the job-list order
+//!   among them), and a 400-job list on 12 nodes.
 //!
 //! The fixture `golden_bits.txt` was captured from the engine as it was
 //! at commit 450d4d1, before the running-job state became dense. The

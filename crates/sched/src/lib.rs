@@ -19,12 +19,10 @@
 #![warn(missing_docs)]
 
 pub mod matrix;
-pub mod online;
 pub mod placement;
 pub mod policies;
 pub mod simulate;
 
 pub use matrix::CostMatrix;
-pub use online::{simulate, FirstFit, InterferenceAware, Job, OnlinePolicy};
 pub use placement::Placement;
 pub use policies::{Greedy, Naive, Optimal, Scheduler, Stable};

@@ -11,8 +11,9 @@
 
 use std::sync::Arc;
 
+use cochar::cluster::policy::{InterferenceAware, Spread};
+use cochar::cluster::{simulate, Job, Workload};
 use cochar::prelude::*;
-use cochar::sched::online::{simulate, FirstFit, InterferenceAware, Job, OnlinePolicy};
 use cochar::sched::CostMatrix;
 
 fn main() {
@@ -40,10 +41,12 @@ fn main() {
     }
     println!("{} jobs arriving over {:.0} time units\n", jobs.len(), t);
 
-    let nodes = 4;
+    // Four two-slot nodes. At two slots, spread is the first-fit that
+    // takes an empty node before sharing one.
     let qos = 1.5;
-    let policies: Vec<(&str, Box<dyn OnlinePolicy>)> = vec![
-        ("first-fit", Box::new(FirstFit)),
+    let small = SimConfig { nodes: 4, slots: 2, qos_cap: qos, ..SimConfig::default() };
+    let mut policies: Vec<(&str, Box<dyn ClusterPolicy>)> = vec![
+        ("first-fit", Box::new(Spread)),
         ("interference-aware", Box::new(InterferenceAware::new(qos))),
         (
             "interference-strict",
@@ -54,8 +57,9 @@ fn main() {
         "{:<22} {:>9} {:>9} {:>12} {:>12}",
         "policy", "makespan", "stretch", "QoS-viol t", "node-seconds"
     );
-    for (label, p) in &policies {
-        let out = simulate(&matrix, p.as_ref(), &jobs, nodes, qos);
+    for (label, p) in &mut policies {
+        let out = simulate(&matrix, &matrix, p.as_mut(), &jobs, &small)
+            .expect("no policy leaves jobs queued on an idle cluster");
         println!(
             "{label:<22} {:>9.1} {:>9.2} {:>12.1} {:>12.1}",
             out.makespan, out.mean_stretch, out.qos_violation_time, out.node_seconds
@@ -68,8 +72,6 @@ fn main() {
     // Part 2: the same matrix at cluster scale (cochar-cluster). 64
     // four-slot nodes, a seeded Poisson workload, every policy scored
     // against the interference-aware baseline.
-    use cochar::cluster::{simulate as csim, PolicyKind, SimConfig, Workload};
-
     let cfg = SimConfig { nodes: 64, slots: 4, qos_cap: qos, ..SimConfig::default() };
     let rate = Workload::rate_for_utilization(0.7, cfg.nodes, cfg.slots, 8.0);
     let wl = Workload { arrival_rate: rate, mean_work: 8.0, seed: 7 };
@@ -87,7 +89,7 @@ fn main() {
             ..cfg
         };
         let mut p = kind.build(7, qos);
-        let out = csim(&matrix, &matrix, p.as_mut(), &cluster_jobs, &run_cfg)
+        let out = simulate(&matrix, &matrix, p.as_mut(), &cluster_jobs, &run_cfg)
             .expect("non-strict policies terminate");
         println!(
             "{:<22} {:>9.2} {:>12.1} {:>12.1}",

@@ -102,7 +102,8 @@ fn scheduling_stack_end_to_end() {
 
 #[test]
 fn online_policy_uses_measured_matrix() {
-    use cochar::sched::online::{simulate, FirstFit, InterferenceAware, Job};
+    use cochar::cluster::policy::{InterferenceAware, Spread};
+    use cochar::cluster::{simulate, Job};
     let s = study();
     let jobs_apps = ["stream", "swaptions"];
     let m = CostMatrix::measure(&s, &jobs_apps);
@@ -112,7 +113,8 @@ fn online_policy_uses_measured_matrix() {
         .iter()
         .map(|&app| Job { app, arrival: 0.0, work: 5.0 })
         .collect();
-    let aware = simulate(&m, &InterferenceAware::new(1.3), &jobs, 2, 1.3);
-    let naive = simulate(&m, &FirstFit, &jobs, 2, 1.3);
+    let cfg = SimConfig { nodes: 2, slots: 2, qos_cap: 1.3, ..SimConfig::default() };
+    let aware = simulate(&m, &m, &mut InterferenceAware::new(1.3), &jobs, &cfg).unwrap();
+    let naive = simulate(&m, &m, &mut Spread, &jobs, &cfg).unwrap();
     assert!(aware.makespan <= naive.makespan + 1e-9);
 }
