@@ -42,9 +42,27 @@ use cochar_trace::Lcg;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_bits.txt");
 
-const HEADER: &str = "# scenario makespan mean_stretch min_stretch p50_stretch p95_stretch \
-p99_stretch max_stretch qos_violation_time node_seconds slot_seconds energy (f64 bits, hex) \
-jobs slo_violations peak_active_nodes peak_queue migrations";
+/// The fixture's float columns, written as `f64` bits in hex.
+const FLOATS: [&str; 11] = [
+    "makespan",
+    "mean_stretch",
+    "min_stretch",
+    "p50_stretch",
+    "p95_stretch",
+    "p99_stretch",
+    "max_stretch",
+    "qos_violation_time",
+    "node_seconds",
+    "slot_seconds",
+    "energy",
+];
+
+/// The fixture's integer columns, after the floats.
+const COUNTS: [&str; 5] = ["jobs", "slo_violations", "peak_active_nodes", "peak_queue", "migrations"];
+
+fn header() -> String {
+    format!("# scenario {} (f64 bits, hex) {}", FLOATS.join(" "), COUNTS.join(" "))
+}
 
 /// An `n`-app matrix with entries drawn from `[lo, hi)`.
 fn synthetic(n: usize, lo: f64, hi: f64, seed: u64) -> CostMatrix {
@@ -250,32 +268,93 @@ fn lines() -> Vec<String> {
     out
 }
 
+/// How one fixture line moved: the columns whose text differs and the
+/// largest relative change among its floats, or the raw lines when the
+/// scenario or the column count differs.
+fn drift(want: &str, got: &str) -> (Vec<&'static str>, f64, String) {
+    let (w, g): (Vec<&str>, Vec<&str>) = (want.split(' ').collect(), got.split(' ').collect());
+    let columns = FLOATS.iter().chain(&COUNTS);
+    if w[0] != g[0] || w.len() != g.len() || w.len() != 1 + FLOATS.len() + COUNTS.len() {
+        return (Vec::new(), f64::INFINITY, format!("  want {want}\n  got  {got}"));
+    }
+    let mut moved = Vec::new();
+    let mut worst = 0.0f64;
+    for (i, &column) in columns.enumerate() {
+        let (a, b) = (w[1 + i], g[1 + i]);
+        if a == b {
+            continue;
+        }
+        moved.push(column);
+        if i < FLOATS.len() {
+            let bits = |hex: &str| f64::from_bits(u64::from_str_radix(hex, 16).unwrap_or(0));
+            let (a, b) = (bits(a), bits(b));
+            worst = worst.max(if a == 0.0 { f64::INFINITY } else { ((b - a) / a).abs() });
+        }
+    }
+    let line = format!("  {}: {} (largest relative float change {worst:.1e})", g[0], moved.join(" "));
+    (moved, worst, line)
+}
+
 #[test]
 fn outcomes_match_the_golden_bits() {
     let fixture = std::fs::read_to_string(FIXTURE).expect("golden fixture is committed");
+    assert_eq!(fixture.lines().next(), Some(header().as_str()), "fixture header changed");
     let expected: Vec<&str> = fixture.lines().filter(|l| !l.starts_with('#')).collect();
     let actual = lines();
     assert_eq!(actual.len(), expected.len(), "scenario count changed");
-    let drifted: Vec<String> = actual
-        .iter()
-        .zip(&expected)
-        .filter(|(a, e)| a.as_str() != **e)
-        .map(|(a, e)| format!("  want {e}\n  got  {a}"))
-        .collect();
+    let mut per_column: Vec<(&str, usize)> = Vec::new();
+    let mut worst = 0.0f64;
+    let mut report = Vec::new();
+    for (got, want) in actual.iter().zip(&expected) {
+        if got.as_str() == *want {
+            continue;
+        }
+        let (moved, rel, line) = drift(want, got);
+        for column in moved {
+            match per_column.iter_mut().find(|(c, _)| *c == column) {
+                Some((_, n)) => *n += 1,
+                None => per_column.push((column, 1)),
+            }
+        }
+        worst = worst.max(rel);
+        report.push(line);
+    }
+    let columns: Vec<String> = per_column.iter().map(|(c, n)| format!("{c} {n}")).collect();
     assert!(
-        drifted.is_empty(),
-        "{} of {} scenarios drifted from the golden bits:\n{}",
-        drifted.len(),
+        report.is_empty(),
+        "{} of {} scenarios drifted from the golden bits; lines moved per column: {}; \
+         largest relative float change {worst:.1e}\n{}",
+        report.len(),
         actual.len(),
-        drifted.join("\n")
+        columns.join(", "),
+        report.join("\n")
     );
+}
+
+#[test]
+fn drift_names_the_moved_columns() {
+    let want = ["s", "3ff0000000000000", "4000000000000000"]
+        .into_iter()
+        .chain(std::iter::repeat_n("0000000000000000", FLOATS.len() - 2))
+        .chain(["3", "0", "1", "0", "0"])
+        .collect::<Vec<_>>()
+        .join(" ");
+    // makespan 1.0 -> 1.0 + 2^-52, mean_stretch unchanged, peak_queue 0 -> 2.
+    let got = want.replacen("3ff0000000000000", "3ff0000000000001", 1).replacen(" 1 0 0", " 1 2 0", 1);
+    let (moved, worst, line) = drift(&want, &got);
+    assert_eq!(moved, ["makespan", "peak_queue"]);
+    assert_eq!(worst, f64::EPSILON);
+    assert!(line.starts_with("  s: makespan peak_queue"), "{line}");
+    let (moved, worst, line) = drift(&want, "t 1");
+    assert!(moved.is_empty() && worst.is_infinite());
+    assert!(line.contains("want s ") && line.contains("got  t 1"), "{line}");
 }
 
 /// Rewrites the fixture from the current engine (see the module doc).
 #[test]
 #[ignore]
 fn regenerate_fixture() {
-    let mut text = String::from(HEADER);
+    let mut text = header();
     text.push('\n');
     for l in lines() {
         text.push_str(&l);
