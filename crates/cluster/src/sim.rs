@@ -9,16 +9,16 @@
 //! runs on the measured one is how predicted-placement regret is
 //! quantified.
 //!
-//! Per-event work is one pass over dense arrays: the running jobs'
-//! remaining work and cached rates, indexed by running slot, and three
-//! per-node ledger arrays (occupied slots, non-empty, QoS-violating).
-//! Rates and QoS flags are recomputed only for the nodes an event
-//! touched, when their completions are re-predicted. The ledger pass is
-//! branch-free: an idle node adds `dt * 0.0 = +0.0`, which leaves the
-//! non-negative sums unchanged, and a flagged node adds `dt * 1.0 = dt`,
-//! so every ledger sees exactly the additions, in exactly the order, of
-//! a loop that skipped idle nodes. Results are bit-identical to it
-//! (`tests/golden.rs`).
+//! Per-event work is one pass over the running jobs' dense arrays
+//! (remaining work and cached rate, indexed by running slot) plus the
+//! nodes the event touched. Rates and QoS flags are recomputed only for
+//! those nodes, when their completions are re-predicted. The ledgers are
+//! closed-form: the engine keeps counts of non-empty and QoS-violating
+//! nodes, and each event adds `dt * count` once to node-, slot- (the
+//! running-job count, which is the sum of node occupancies) and QoS
+//! seconds. That is one rounding per ledger per event, where a pass over
+//! the nodes rounded once per flagged node; `tests/golden.rs` pins the
+//! resulting bits.
 //!
 //! Placement decisions do not walk the nodes. The engine owns a
 //! [`NodeIndex`] of the free nodes by occupancy and by member app
@@ -219,10 +219,9 @@ pub fn simulate(
         node_members: vec![Vec::new(); cfg.nodes],
         index: NodeIndex::new(&node_apps, cfg.slots),
         node_apps,
-        occupancy: vec![0.0; cfg.nodes],
-        active: vec![0.0; cfg.nodes],
-        violating: vec![0.0; cfg.nodes],
+        violating: vec![false; cfg.nodes],
         active_nodes: 0,
+        violating_nodes: 0,
         run_job: Vec::new(),
         run_rem: Vec::new(),
         run_rate: Vec::new(),
@@ -274,14 +273,13 @@ struct Engine<'a> {
     /// `node_apps` by occupancy and member sequence, kept current by
     /// `add_member` and `remove_member`.
     index: NodeIndex,
-    /// Occupied slots of each node, as a float for the ledger pass.
-    occupancy: Vec<f64>,
-    /// 1.0 for a non-empty node, else 0.0.
-    active: Vec<f64>,
-    /// 1.0 for a node whose bundle breaches the QoS cap, else 0.0.
-    violating: Vec<f64>,
-    /// Number of non-empty nodes.
+    /// Whether each node's bundle breached the QoS cap when its node was
+    /// last rescheduled.
+    violating: Vec<bool>,
+    /// Number of non-empty nodes, kept by `add_member` and `remove_member`.
     active_nodes: usize,
+    /// Number of `violating` nodes, kept by `reschedule`.
+    violating_nodes: usize,
     /// Running jobs by running slot: the job, its remaining work, and its
     /// progress rate as of the last time its node was touched.
     run_job: Vec<usize>,
@@ -326,21 +324,15 @@ impl Engine<'_> {
     }
 
     /// Advances every running job by `dt` (`dt > 0`) and accrues the
-    /// time-integrated ledgers, node by node in index order.
+    /// time-integrated ledgers from the node and job counts.
     fn advance(&mut self, dt: f64) {
         for (rem, &rate) in self.run_rem.iter_mut().zip(&self.run_rate) {
             *rem -= dt * rate;
         }
-        let (mut node_s, mut slot_s, mut qos_s) =
-            (self.node_seconds, self.slot_seconds, self.qos_violation_time);
-        let flags = self.active.iter().zip(&self.occupancy).zip(&self.violating);
-        for ((&active, &occupancy), &violating) in flags {
-            node_s += dt * active;
-            slot_s += dt * occupancy;
-            qos_s += dt * violating;
-        }
-        (self.node_seconds, self.slot_seconds, self.qos_violation_time) = (node_s, slot_s, qos_s);
         let active = self.active_nodes;
+        self.node_seconds += dt * active as f64;
+        self.slot_seconds += dt * self.run_job.len() as f64;
+        self.qos_violation_time += dt * self.violating_nodes as f64;
         self.energy +=
             dt * (active as f64 + self.cfg.idle_power * (self.cfg.nodes - active) as f64);
         self.peak_active = self.peak_active.max(active);
@@ -372,18 +364,19 @@ impl Engine<'_> {
         }
     }
 
-    /// Puts `job` on `node`'s member list, keeping `node_of` and the
-    /// index current.
+    /// Puts `job` on `node`'s member list, keeping `node_of`, the index
+    /// and the non-empty node count current.
     fn add_member(&mut self, node: usize, job: usize) {
         self.index.remove(node, &self.node_apps[node]);
+        self.active_nodes += usize::from(self.node_members[node].is_empty());
         self.node_members[node].push(job);
         self.node_apps[node].push(self.jobs[job].app);
         self.index.insert(node, &self.node_apps[node]);
         self.node_of[job] = node;
     }
 
-    /// Takes `job` off `node`'s member list, keeping `node_of` and the
-    /// index current.
+    /// Takes `job` off `node`'s member list, keeping `node_of`, the index
+    /// and the non-empty node count current.
     fn remove_member(&mut self, node: usize, job: usize) {
         self.index.remove(node, &self.node_apps[node]);
         let pos = self.node_members[node]
@@ -392,6 +385,7 @@ impl Engine<'_> {
             .expect("member bookkeeping");
         self.node_members[node].remove(pos);
         self.node_apps[node].remove(pos);
+        self.active_nodes -= usize::from(self.node_members[node].is_empty());
         self.index.insert(node, &self.node_apps[node]);
         self.node_of[job] = usize::MAX;
     }
@@ -478,19 +472,17 @@ impl Engine<'_> {
         Ok(())
     }
 
-    /// Refreshes the touched nodes' ledger flags and their members' rates,
+    /// Refreshes the touched nodes' QoS flags and their members' rates,
     /// and re-predicts those members' completion times.
     fn reschedule(&mut self, dirty: &mut Vec<usize>) {
         dirty.sort_unstable();
         dirty.dedup();
         for &node in dirty.iter() {
-            let occupied = self.node_members[node].len();
-            let active = usize::from(occupied > 0);
-            self.active_nodes = self.active_nodes + active - self.active[node] as usize;
-            self.active[node] = active as f64;
-            self.occupancy[node] = occupied as f64;
-            self.violating[node] = if self.node_in_violation(node) { 1.0 } else { 0.0 };
-            for i in 0..occupied {
+            let violating = self.node_in_violation(node);
+            self.violating_nodes =
+                self.violating_nodes + usize::from(violating) - usize::from(self.violating[node]);
+            self.violating[node] = violating;
+            for i in 0..self.node_members[node].len() {
                 let j = self.node_members[node][i];
                 let slot = self.slot_of[j];
                 let rate = self.rate(j);

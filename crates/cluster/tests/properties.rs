@@ -13,6 +13,8 @@
 //! Sub-1.0 entries legitimately break the first invariant; a dedicated
 //! regression pins that behavior instead.
 //!
+//! At zero idle power the energy ledger is node-seconds, to the bit.
+//!
 //! At every decision, the node index the engine keeps up to date through
 //! starts, completions and defragmentation moves describes exactly the
 //! board a fresh build from the node lists describes.
@@ -131,6 +133,19 @@ proptest! {
         prop_assert_eq!(oa.node_seconds.to_bits(), ob.node_seconds.to_bits());
         prop_assert_eq!(oa.energy.to_bits(), ob.energy.to_bits());
         prop_assert_eq!(oa.migrations, ob.migrations);
+    }
+
+    #[test]
+    fn energy_at_zero_idle_power_is_node_seconds(scenario in scenario_strategy()) {
+        let (m, jobs, cfg, kind) = scenario;
+        let kind = PolicyKind::all()[kind];
+        let cfg = SimConfig { idle_power: 0.0, ..cfg };
+        let mut policy = kind.build(5, cfg.qos_cap);
+        let out = simulate(&m, &m, policy.as_mut(), &jobs, &cfg).unwrap();
+        // Idle nodes draw nothing, so the energy ledger integrates the
+        // non-empty node count: the node-seconds ledger, addition by
+        // addition.
+        prop_assert_eq!(out.energy.to_bits(), out.node_seconds.to_bits());
     }
 }
 
