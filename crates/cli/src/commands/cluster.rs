@@ -115,6 +115,12 @@ impl Setup {
         if !(defrag_period > 0.0 && defrag_period.is_finite()) {
             return Err("--defrag-period must be positive".into());
         }
+        if !(qos_cap > 0.0 && qos_cap.is_finite()) {
+            return Err("--qos must be positive".into());
+        }
+        if !(slo_stretch > 0.0 && slo_stretch.is_finite()) {
+            return Err("--slo must be positive".into());
+        }
         if !(2..=apps).contains(&train_apps) {
             return Err(format!("--train-apps must be in [2, {apps}]"));
         }

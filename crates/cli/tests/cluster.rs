@@ -213,6 +213,19 @@ fn bad_inputs_are_reported_not_panics() {
     // Unknown subcommand.
     let e = stderr_of_failure(&["cluster", "meditate"]);
     assert!(e.contains("unknown cluster subcommand"), "{e}");
+
+    // A QoS cap or SLO that is not positive and finite would silently
+    // count no co-run (NaN) or every co-run (negative) as a violation.
+    // Both are rejected before the matrix is measured.
+    for (flag, value) in [("--qos", "nan"), ("--qos", "-1"), ("--slo", "nan"), ("--slo", "0")] {
+        let args = tiny(&["cluster", "compare"], &[flag, value]);
+        let argrefs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
+        let out = cochar(&argrefs);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        let e = String::from_utf8_lossy(&out.stderr);
+        assert!(e.contains(&format!("{flag} must be positive")), "{flag} {value}: {e}");
+        assert!(out.stdout.is_empty(), "{flag} {value} measured before failing");
+    }
 }
 
 /// The last `store:` ledger line of a command's stdout, without the

@@ -180,6 +180,13 @@ pub fn simulate(
     if cfg.nodes == 0 || cfg.slots == 0 {
         return config_err(format!("{} nodes x {} slots is an empty cluster", cfg.nodes, cfg.slots));
     }
+    // A NaN cap would count no co-run as a violation and a negative one
+    // every co-run; a NaN SLO would count no job.
+    for (label, v) in [("QoS cap", cfg.qos_cap), ("SLO stretch", cfg.slo_stretch)] {
+        if !(v.is_finite() && v > 0.0) {
+            return config_err(format!("{label} {v} must be positive and finite"));
+        }
+    }
     if knowledge.len() != truth.len() {
         return config_err(format!(
             "knowledge matrix covers {} apps, truth covers {}",
@@ -921,6 +928,17 @@ mod tests {
         let missing_row = CostMatrix { names: m.names.clone(), slow: vec![m.slow[0].clone()] };
         let err = simulate(&m, &missing_row, &mut FirstFit, &jobs, &cfg(1, 2)).unwrap_err();
         assert!(err.to_string().contains("knowledge matrix is not 2x2"), "{err}");
+        // The QoS cap and the SLO threshold must be positive and finite.
+        for bad in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            for c in [
+                SimConfig { qos_cap: bad, ..cfg(1, 2) },
+                SimConfig { slo_stretch: bad, ..cfg(1, 2) },
+            ] {
+                let err = simulate(&m, &m, &mut FirstFit, &jobs, &c).unwrap_err();
+                assert!(matches!(err, SimError::Config { .. }), "{err}");
+                assert!(err.to_string().contains("must be positive and finite"), "{err}");
+            }
+        }
     }
 
     #[test]
