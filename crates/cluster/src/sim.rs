@@ -16,9 +16,8 @@
 //! closed-form: the engine keeps counts of non-empty and QoS-violating
 //! nodes, and each event adds `dt * count` once to node-, slot- (the
 //! running-job count, which is the sum of node occupancies) and QoS
-//! seconds. That is one rounding per ledger per event, where a pass over
-//! the nodes rounded once per flagged node; `tests/golden.rs` pins the
-//! resulting bits.
+//! seconds: one rounding per ledger per event, whatever the cluster's
+//! size. `tests/golden.rs` pins the resulting bits.
 //!
 //! Placement decisions do not walk the nodes. The engine owns a
 //! [`NodeIndex`] of the free nodes by occupancy and by member app
@@ -280,8 +279,8 @@ struct Engine<'a> {
     /// `node_apps` by occupancy and member sequence, kept current by
     /// `add_member` and `remove_member`.
     index: NodeIndex,
-    /// Whether each node's bundle breached the QoS cap when its node was
-    /// last rescheduled.
+    /// Whether each node's bundle breached the QoS cap when it was last
+    /// rescheduled.
     violating: Vec<bool>,
     /// Number of non-empty nodes, kept by `add_member` and `remove_member`.
     active_nodes: usize,
