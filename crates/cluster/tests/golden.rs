@@ -67,7 +67,8 @@ const FLOATS: [&str; 11] = [
 ];
 
 /// The fixture's integer columns, after the floats.
-const COUNTS: [&str; 5] = ["jobs", "slo_violations", "peak_active_nodes", "peak_queue", "migrations"];
+const COUNTS: [&str; 5] =
+    ["jobs", "slo_violations", "peak_active_nodes", "peak_queue", "migrations"];
 
 fn header() -> String {
     format!("# scenario {} (f64 bits, hex) {}", FLOATS.join(" "), COUNTS.join(" "))
@@ -277,31 +278,22 @@ fn lines() -> Vec<String> {
     out
 }
 
-/// How one fixture line moved: the columns whose text differs and the
-/// largest relative change among its floats, or the raw lines when the
-/// scenario or the column count differs.
-fn drift(want: &str, got: &str) -> (Vec<&'static str>, f64, String) {
+/// How one fixture line moved: the indices of the columns whose text
+/// differs (floats first, then counts) and the largest relative change
+/// among its floats. `None` when the scenario or the column count differs.
+fn drift(want: &str, got: &str) -> Option<(Vec<usize>, f64)> {
     let (w, g): (Vec<&str>, Vec<&str>) = (want.split(' ').collect(), got.split(' ').collect());
-    let columns = FLOATS.iter().chain(&COUNTS);
     if w[0] != g[0] || w.len() != g.len() || w.len() != 1 + FLOATS.len() + COUNTS.len() {
-        return (Vec::new(), f64::INFINITY, format!("  want {want}\n  got  {got}"));
+        return None;
     }
-    let mut moved = Vec::new();
+    let bits = |hex: &str| f64::from_bits(u64::from_str_radix(hex, 16).unwrap_or(0));
     let mut worst = 0.0f64;
-    for (i, &column) in columns.enumerate() {
-        let (a, b) = (w[1 + i], g[1 + i]);
-        if a == b {
-            continue;
-        }
-        moved.push(column);
-        if i < FLOATS.len() {
-            let bits = |hex: &str| f64::from_bits(u64::from_str_radix(hex, 16).unwrap_or(0));
-            let (a, b) = (bits(a), bits(b));
-            worst = worst.max(if a == 0.0 { f64::INFINITY } else { ((b - a) / a).abs() });
-        }
+    let moved: Vec<usize> = (0..w.len() - 1).filter(|&i| w[1 + i] != g[1 + i]).collect();
+    for &i in moved.iter().filter(|&&i| i < FLOATS.len()) {
+        let (a, b) = (bits(w[1 + i]), bits(g[1 + i]));
+        worst = worst.max(if a == 0.0 { f64::INFINITY } else { ((b - a) / a).abs() });
     }
-    let line = format!("  {}: {} (largest relative float change {worst:.1e})", g[0], moved.join(" "));
-    (moved, worst, line)
+    Some((moved, worst))
 }
 
 #[test]
@@ -311,31 +303,38 @@ fn outcomes_match_the_golden_bits() {
     let expected: Vec<&str> = fixture.lines().filter(|l| !l.starts_with('#')).collect();
     let actual = lines();
     assert_eq!(actual.len(), expected.len(), "scenario count changed");
-    let mut per_column: Vec<(&str, usize)> = Vec::new();
+    let columns: Vec<&str> = FLOATS.iter().chain(&COUNTS).copied().collect();
+    let mut moved_lines = vec![0usize; columns.len()];
     let mut worst = 0.0f64;
     let mut report = Vec::new();
     for (got, want) in actual.iter().zip(&expected) {
         if got.as_str() == *want {
             continue;
         }
-        let (moved, rel, line) = drift(want, got);
-        for column in moved {
-            match per_column.iter_mut().find(|(c, _)| *c == column) {
-                Some((_, n)) => *n += 1,
-                None => per_column.push((column, 1)),
-            }
-        }
+        let Some((moved, rel)) = drift(want, got) else {
+            report.push(format!("  want {want}\n  got  {got}"));
+            continue;
+        };
+        let names: Vec<&str> = moved.iter().map(|&i| columns[i]).collect();
+        let name = got.split(' ').next().unwrap_or_default();
+        report.push(format!(
+            "  {name}: {} (largest relative float change {rel:.1e})",
+            names.join(" ")
+        ));
+        moved.iter().for_each(|&i| moved_lines[i] += 1);
         worst = worst.max(rel);
-        report.push(line);
     }
-    let columns: Vec<String> = per_column.iter().map(|(c, n)| format!("{c} {n}")).collect();
+    let per_column: Vec<String> = (0..columns.len())
+        .filter(|&i| moved_lines[i] > 0)
+        .map(|i| format!("{} {}", columns[i], moved_lines[i]))
+        .collect();
     assert!(
         report.is_empty(),
         "{} of {} scenarios drifted from the golden bits; lines moved per column: {}; \
          largest relative float change {worst:.1e}\n{}",
         report.len(),
         actual.len(),
-        columns.join(", "),
+        per_column.join(", "),
         report.join("\n")
     );
 }
@@ -349,14 +348,11 @@ fn drift_names_the_moved_columns() {
         .collect::<Vec<_>>()
         .join(" ");
     // makespan 1.0 -> 1.0 + 2^-52, mean_stretch unchanged, peak_queue 0 -> 2.
-    let got = want.replacen("3ff0000000000000", "3ff0000000000001", 1).replacen(" 1 0 0", " 1 2 0", 1);
-    let (moved, worst, line) = drift(&want, &got);
-    assert_eq!(moved, ["makespan", "peak_queue"]);
-    assert_eq!(worst, f64::EPSILON);
-    assert!(line.starts_with("  s: makespan peak_queue"), "{line}");
-    let (moved, worst, line) = drift(&want, "t 1");
-    assert!(moved.is_empty() && worst.is_infinite());
-    assert!(line.contains("want s ") && line.contains("got  t 1"), "{line}");
+    let got = want
+        .replacen("3ff0000000000000", "3ff0000000000001", 1)
+        .replacen(" 1 0 0", " 1 2 0", 1);
+    assert_eq!(drift(&want, &got), Some((vec![0, FLOATS.len() + 3], f64::EPSILON)));
+    assert_eq!(drift(&want, "s 1"), None);
 }
 
 /// Rewrites the fixture from the current engine (see the module doc).
