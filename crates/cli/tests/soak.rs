@@ -5,10 +5,15 @@
 //!
 //! These tests drive real processes (`CARGO_BIN_EXE_cochar`), so worker
 //! death is SIGKILL-real and coordinator death leaves a genuinely stale
-//! store lock behind.
+//! store lock behind. A killed coordinator's process group goes with it,
+//! so its local workers never outlive the test.
+#![cfg(unix)]
 
 use std::io::BufRead;
+use std::os::unix::process::CommandExt;
+use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -59,10 +64,39 @@ fn ledger_count(text: &str, label: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {label:?} count in:\n{text}"))
 }
 
-/// Spawns a store-backed sweep under `wire_plan`, SIGKILLs the
-/// coordinator as soon as the first pair cell has settled (the progress
-/// line prints only after the records are durably merged), and returns
-/// once the process is reaped.
+/// SIGKILLs every process in process group `pgid`.
+fn kill_group(pgid: u32) {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    let pgid = i32::try_from(pgid).expect("pid fits an i32");
+    // SAFETY: kill(2) takes plain integers; a negative pid names a group.
+    let rc = unsafe { kill(-pgid, 9) };
+    assert_eq!(rc, 0, "SIGKILL process group {pgid}");
+}
+
+/// The local worker stores of the coordinator with pid `coord` in the
+/// temp dir: `cochar-fabric-worker<k>-<coord>-<n>`.
+fn worker_stores(coord: u32) -> Vec<PathBuf> {
+    let coord = coord.to_string();
+    let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) else { return Vec::new() };
+    entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|path| {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.strip_prefix("cochar-fabric-worker")
+                .and_then(|rest| rest.split('-').nth(1))
+                .is_some_and(|pid| pid == coord)
+        })
+        .collect()
+}
+
+/// Spawns a store-backed sweep under `wire_plan` in a process group of
+/// its own and, as soon as the first pair cell has settled (the progress
+/// line prints only after the records are durably merged), SIGKILLs the
+/// whole group: the coordinator and the local workers it spawned. Returns
+/// once the coordinator is reaped and the workers' private stores, which
+/// the killed coordinator never got to remove, are gone.
 fn crash_a_sweep(dir: &std::path::Path, wire_plan: &str) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_cochar"))
         .args(sweep_args(&["--workers", "2", "--store", "runs", "--csv", "crash.csv"]))
@@ -70,6 +104,7 @@ fn crash_a_sweep(dir: &std::path::Path, wire_plan: &str) {
         .env("COCHAR_CHAOS_WIRE", wire_plan)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
+        .process_group(0)
         .spawn()
         .expect("sweep spawns");
     let stderr = child.stderr.take().expect("stderr piped");
@@ -87,8 +122,23 @@ fn crash_a_sweep(dir: &std::path::Path, wire_plan: &str) {
             _ => panic!("sweep ended before any pair cell settled:\n{seen}"),
         }
     }
-    child.kill().expect("SIGKILL the coordinator");
+    let coord = child.id();
+    kill_group(coord);
     let _ = child.wait();
+    // A worker SIGKILLed mid-syscall may still be finishing it, so retry
+    // the removal for a few seconds before requiring the stores gone.
+    for _ in 0..100 {
+        let stores = worker_stores(coord);
+        if stores.is_empty() {
+            break;
+        }
+        for store in stores {
+            let _ = std::fs::remove_dir_all(store);
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let left = worker_stores(coord);
+    assert!(left.is_empty(), "killed sweep left worker stores behind: {left:?}");
 }
 
 #[test]

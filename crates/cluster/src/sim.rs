@@ -10,9 +10,14 @@
 //! quantified.
 //!
 //! Per-event work is one pass over the running jobs' dense arrays
-//! (remaining work and cached rate, indexed by running slot) plus the
-//! nodes the event touched. Rates and QoS flags are recomputed only for
-//! those nodes, when their completions are re-predicted. The ledgers are
+//! (remaining work and cached rate, indexed by running slot) when time
+//! advances, plus the nodes the event touched. That pass also counts the
+//! jobs whose work it exhausts, and a job that starts under the
+//! completion epsilon adds one, so the engine always holds an exact count
+//! of due jobs. Completion makes no pass of its own: where none is due,
+//! as at most arrivals and defragmentation ticks, it returns at once, and
+//! otherwise it searches only as far as the last due job. Rates and QoS flags are recomputed only for the touched
+//! nodes, when their completions are re-predicted. The ledgers are
 //! closed-form: the engine keeps counts of non-empty and QoS-violating
 //! nodes, and each event adds `dt * count` once to node-, slot- (the
 //! running-job count, which is the sum of node occupancies) and QoS
@@ -231,6 +236,7 @@ pub fn simulate(
         run_job: Vec::new(),
         run_rem: Vec::new(),
         run_rate: Vec::new(),
+        due: 0,
         slot_of: vec![usize::MAX; jobs.len()],
         node_of: vec![usize::MAX; jobs.len()],
         epoch: vec![0; jobs.len()],
@@ -291,6 +297,9 @@ struct Engine<'a> {
     run_job: Vec<usize>,
     run_rem: Vec<f64>,
     run_rate: Vec<f64>,
+    /// Number of `run_rem` entries at or under `DONE`: set by `advance`,
+    /// raised by `start`, run down to zero by `complete_due`.
+    due: usize,
     /// Running slot of each job (`usize::MAX` unless running).
     slot_of: Vec<usize>,
     node_of: Vec<usize>,
@@ -308,6 +317,22 @@ struct Engine<'a> {
     peak_active: usize,
     peak_queue: usize,
     migrations: usize,
+}
+
+/// Index of the first entry of `rem` at or after `from` that is at or
+/// under `DONE`. Whole chunks are tested with a branch-free or-reduction,
+/// which vectorises, and only the chunk that holds a hit is searched.
+fn next_due(rem: &[f64], from: usize) -> Option<usize> {
+    const LANES: usize = 8;
+    let mut chunks = rem[from..].chunks_exact(LANES);
+    let mut base = from;
+    for chunk in chunks.by_ref() {
+        if chunk.iter().fold(false, |any, &r| any | (r <= DONE)) {
+            return chunk.iter().position(|&r| r <= DONE).map(|k| base + k);
+        }
+        base += LANES;
+    }
+    chunks.remainder().iter().position(|&r| r <= DONE).map(|k| base + k)
 }
 
 impl Engine<'_> {
@@ -329,12 +354,16 @@ impl Engine<'_> {
         apps.len() >= 2 && self.cfg.compose.bundle_cost(self.truth, apps) >= self.cfg.qos_cap
     }
 
-    /// Advances every running job by `dt` (`dt > 0`) and accrues the
-    /// time-integrated ledgers from the node and job counts.
+    /// Advances every running job by `dt` (`dt > 0`), setting the due
+    /// count from the same pass, and accrues the time-integrated ledgers
+    /// from the node and job counts.
     fn advance(&mut self, dt: f64) {
+        let mut due = 0;
         for (rem, &rate) in self.run_rem.iter_mut().zip(&self.run_rate) {
             *rem -= dt * rate;
+            due += usize::from(*rem <= DONE);
         }
+        self.due = due;
         let active = self.active_nodes;
         self.node_seconds += dt * active as f64;
         self.slot_seconds += dt * self.run_job.len() as f64;
@@ -346,28 +375,39 @@ impl Engine<'_> {
 
     /// Completes every running job whose work is exhausted. Runs on every
     /// event, zero-length steps included: a sliver of work whose predicted
-    /// completion rounds to the current instant is caught here.
+    /// completion rounds to the current instant is caught here. Returns at
+    /// once when the due count is zero; otherwise it completes due slots
+    /// in ascending order, re-checking a slot after the last running job
+    /// is swapped into it, and stops when the count runs out.
     fn complete_due(&mut self, dirty: &mut Vec<usize>) {
+        debug_assert_eq!(
+            self.due,
+            self.run_rem.iter().filter(|&&r| r <= DONE).count(),
+            "due count out of step with remaining work"
+        );
         let mut i = 0;
-        while i < self.run_rem.len() {
-            if self.run_rem[i] <= DONE {
-                let j = self.run_job.swap_remove(i);
-                self.run_rem.swap_remove(i);
-                self.run_rate.swap_remove(i);
-                if let Some(&moved) = self.run_job.get(i) {
-                    self.slot_of[moved] = i;
-                }
-                self.slot_of[j] = usize::MAX;
-                self.finish[j] = self.now;
-                self.makespan = self.makespan.max(self.now);
-                let node = self.node_of[j];
-                self.remove_member(node, j);
-                self.epoch[j] += 1; // invalidate its pending JobEnd
-                dirty.push(node);
-            } else {
-                i += 1;
+        while self.due > 0 {
+            let Some(at) = next_due(&self.run_rem, i) else {
+                self.due = 0;
+                break;
+            };
+            i = at;
+            self.due -= 1;
+            let j = self.run_job.swap_remove(i);
+            self.run_rem.swap_remove(i);
+            self.run_rate.swap_remove(i);
+            if let Some(&moved) = self.run_job.get(i) {
+                self.slot_of[moved] = i;
             }
+            self.slot_of[j] = usize::MAX;
+            self.finish[j] = self.now;
+            self.makespan = self.makespan.max(self.now);
+            let node = self.node_of[j];
+            self.remove_member(node, j);
+            self.epoch[j] += 1; // invalidate its pending JobEnd
+            dirty.push(node);
         }
+        debug_assert!(self.run_rem.iter().all(|&r| r > DONE), "a due job was left running");
     }
 
     /// Puts `job` on `node`'s member list, keeping `node_of`, the index
@@ -436,6 +476,7 @@ impl Engine<'_> {
         self.slot_of[job] = self.run_job.len();
         self.run_job.push(job);
         self.run_rem.push(self.jobs[job].work);
+        self.due += usize::from(self.jobs[job].work <= DONE);
         // `reschedule` sets the rate: `node` is dirty.
         self.run_rate.push(f64::NAN);
         dirty.push(node);
@@ -963,11 +1004,11 @@ mod tests {
     fn slivers_whose_eta_rounds_to_now_still_complete() {
         // Both slivers start under the completion epsilon. The second is
         // below half an ulp of the clock at t = 2e4, so its predicted
-        // completion is the very instant it started, and only a
-        // completion scan on that zero-length step can finish it. An
-        // engine that completed jobs only while advancing time would
-        // re-aim it forever, so the run is bounded by a timeout and a
-        // hang fails the test.
+        // completion is the very instant it started, and only completing
+        // due jobs on that zero-length step (it counts as due from its
+        // start) can finish it. An engine that completed jobs only while
+        // advancing time would re-aim it forever, so the run is bounded
+        // by a timeout and a hang fails the test.
         let jobs = vec![
             Job { app: 0, arrival: 1e4, work: 1e-12 },
             Job { app: 1, arrival: 2e4, work: 5e-13 },
@@ -991,6 +1032,53 @@ mod tests {
             assert_eq!(out.makespan, 2e4, "{kind}");
             assert_eq!(out.jobs, 2, "{kind}");
         }
+    }
+
+    #[test]
+    fn simultaneous_completions_and_sub_epsilon_starts_keep_their_bits() {
+        // Four equal jobs on four one-slot nodes run out of work at the
+        // same instant, so each completion swaps the last running job
+        // into the slot just freed and that slot is due again. A queued
+        // job drains into the freed capacity, and a job under the
+        // completion epsilon starts at that instant and finishes at the
+        // next event, the defragmentation tick of the same instant.
+        let m = matrix();
+        let mut jobs: Vec<Job> =
+            [0, 1, 0, 1].iter().map(|&app| Job { app, arrival: 0.0, work: 10.0 }).collect();
+        jobs.push(Job { app: 0, arrival: 5.0, work: 10.0 });
+        jobs.push(Job { app: 1, arrival: 10.0, work: 5e-10 });
+        let c = SimConfig { defrag_period: Some(10.0), ..cfg(4, 1) };
+        let out = simulate(&m, &m, &mut FirstFit, &jobs, &c).unwrap();
+        let bits = [
+            out.makespan,
+            out.mean_stretch,
+            out.min_stretch,
+            out.p50_stretch,
+            out.p95_stretch,
+            out.max_stretch,
+            out.qos_violation_time,
+            out.node_seconds,
+            out.slot_seconds,
+            out.energy,
+        ]
+        .map(f64::to_bits);
+        // Makespan 20, stretch mean 5.5/6 with min 0 (the sub-epsilon job
+        // finished the instant it arrived), p50 1, p95 and max 1.5; no
+        // QoS time, 50 node- and slot-seconds, energy 59.
+        let pinned: [u64; 10] = [
+            0x4034000000000000,
+            0x3fed555555555555,
+            0x0000000000000000,
+            0x3ff0000000000000,
+            0x3ff8000000000000,
+            0x3ff8000000000000,
+            0x0000000000000000,
+            0x4049000000000000,
+            0x4049000000000000,
+            0x404d800000000000,
+        ];
+        assert_eq!(bits, pinned);
+        assert_eq!((out.peak_queue, out.peak_active_nodes, out.migrations), (1, 4, 0));
     }
 
     #[test]

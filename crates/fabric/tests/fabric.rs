@@ -216,10 +216,15 @@ fn hung_worker_lease_expires_and_cell_is_reissued() {
     // Both workers arm the same hang cell: chaos fires only on the first
     // issue, so whichever worker draws the trigger cell silences its
     // heartbeat and sleeps — the other must pick up the expired lease and
-    // compute the re-issue (issue 1) normally.
+    // compute the re-issue (issue 1) normally. The hung worker never
+    // returns to remove a scratch store, so the stores live in a test
+    // directory removed here.
+    let dir = std::env::temp_dir().join(format!("cochar-fabric-test-hang-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let (outcome, _) = run_distributed(&spec, cfg, 2, |i, addr| {
         let mut c = WorkerConfig::new(addr);
         c.label = format!("w{i}");
+        c.store_dir = Some(dir.join(&c.label));
         c.chaos_worker =
             Some(WorkerChaos::Hang { fg: "blackscholes".into(), bg: "swaptions".into() });
         c
@@ -227,6 +232,7 @@ fn hung_worker_lease_expires_and_cell_is_reissued() {
     assert!(outcome.failures.is_empty(), "failures: {:?}", outcome.failures);
     assert!(outcome.ledger.leases_reissued >= 1, "ledger: {:?}", outcome.ledger);
     assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
