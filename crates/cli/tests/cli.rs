@@ -71,7 +71,8 @@ fn pair_prints_slowdown_and_classification() {
 
 #[test]
 fn heatmap_writes_csv() {
-    let dir = std::env::temp_dir().join("cochar_cli_test");
+    let dir = std::env::temp_dir().join(format!("cochar_cli_test_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let csv = dir.join("heat.csv");
     let csv_s = csv.to_str().unwrap();
@@ -82,6 +83,7 @@ fn heatmap_writes_csv() {
     let contents = std::fs::read_to_string(&csv).unwrap();
     assert!(contents.starts_with("fg\\bg,swaptions,blackscholes"));
     assert_eq!(contents.lines().count(), 3);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! End-to-end tests of `cochar cluster run|compare`.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 use cochar_store::json::Json;
@@ -45,6 +46,15 @@ const TINY: [&str; 14] = [
     "--train-apps",
 ];
 
+/// A fresh `cochar-cluster-e2e-<tag>-<pid>` directory in the temp dir;
+/// each test removes its own at the end.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cochar-cluster-e2e-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 fn tiny(cmd: &[&str], extra: &[&str]) -> Vec<String> {
     let mut args: Vec<String> = cmd.iter().map(|s| s.to_string()).collect();
     args.extend(TINY.iter().map(|s| s.to_string()));
@@ -70,8 +80,7 @@ fn mean_stretch(report: &Json, policy: &str, knowledge: &str) -> f64 {
 
 #[test]
 fn compare_is_deterministic_and_interference_awareness_pays() {
-    let dir = std::env::temp_dir().join("cochar-cluster-e2e-compare");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("compare");
     let j1 = dir.join("r1.json");
     let j2 = dir.join("r2.json");
     let c1 = dir.join("r1.csv");
@@ -111,6 +120,7 @@ fn compare_is_deterministic_and_interference_awareness_pays() {
     let csv = std::fs::read_to_string(&c1).unwrap();
     assert_eq!(csv.lines().count(), 1 + 12, "csv rows:\n{csv}");
     assert!(csv.starts_with("policy,knowledge,mean_stretch"));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Stable hash of the `TINY` compare JSON. The report is built from every
@@ -119,8 +129,7 @@ const TINY_COMPARE_JSON_HASH: &str = "3d947e0ee9635993";
 
 #[test]
 fn compare_json_is_pinned() {
-    let dir = std::env::temp_dir().join("cochar-cluster-e2e-pinned");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("pinned");
     let json = dir.join("report.json");
     let args = tiny(&["cluster", "compare"], &["--json", json.to_str().unwrap()]);
     let argrefs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
@@ -129,12 +138,12 @@ fn compare_json_is_pinned() {
     let mut h = cochar_machine::StableHasher::new();
     h.write_str(&text);
     assert_eq!(format!("{:016x}", h.finish()), TINY_COMPARE_JSON_HASH, "report:\n{text}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn run_reports_one_policy_and_traces_round_trip() {
-    let dir = std::env::temp_dir().join("cochar-cluster-e2e-run");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("run");
     let trace = dir.join("jobs.trace");
     let j1 = dir.join("gen.json");
     let j2 = dir.join("replay.json");
@@ -181,6 +190,7 @@ fn run_reports_one_policy_and_traces_round_trip() {
     let a = mean_stretch(&gen, "first-fit", "measured");
     let b = mean_stretch(&replay, "first-fit", "measured");
     assert!((a - b).abs() < 1e-3, "trace replay diverged: {a} vs {b}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -237,10 +247,7 @@ fn ledger(out: &str) -> &str {
 
 #[test]
 fn compare_simulates_each_run_once_and_counts_only_journal_hits() {
-    let dir =
-        std::env::temp_dir().join(format!("cochar-cluster-e2e-ledger-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("ledger");
     let store = dir.join("store");
     let store = store.to_str().unwrap();
     let run = |tag: &str, extra: &[&str]| {
@@ -270,5 +277,5 @@ fn compare_simulates_each_run_once_and_counts_only_journal_hits() {
 
     assert_eq!(no_cache_report, report, "--no-cache changed the report");
     assert_eq!(resumed_report, report, "--resume changed the report");
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

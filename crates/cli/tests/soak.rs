@@ -160,9 +160,9 @@ fn coordinator_sigkill_resume_is_byte_identical() {
     );
     assert!(!dir.join("crash.csv").exists(), "the killed run must not have finished");
 
-    // Phase 2: resume. The stale lock is pid-stamped with a dead owner,
-    // so it must be broken, the cached cells re-adopted, and only the
-    // missing ones re-issued.
+    // Phase 2: resume. The kernel dropped the dead coordinator's lock
+    // with it, so the store reopens, the cached cells are re-adopted, and
+    // only the missing ones are re-issued.
     let out = cochar_dir(
         &sweep_args(&["--workers", "2", "--store", "runs", "--resume", "--csv", "res.csv"]),
         &dir,

@@ -323,13 +323,7 @@ impl Study {
     /// records to workers, which then answer every solo from cache.
     pub fn solo_keys(&self, name: &str) -> Vec<RunKey> {
         let Some(spec) = self.registry.get(name) else { return Vec::new() };
-        (0..self.trials)
-            .map(|t| {
-                let seed = self.base_seed + 1000 * u64::from(t);
-                self.run_key(&[self.app_spec(spec, Role::Foreground, FG_BASE, seed, self.threads)])
-            })
-            .collect::<Option<Vec<_>>>()
-            .unwrap_or_default()
+        self.trial_keys(self.trial_apps(spec, None, self.threads, 0))
     }
 
     /// The store fingerprints of every trial a
@@ -343,17 +337,39 @@ impl Study {
         else {
             return Vec::new();
         };
+        self.trial_keys(self.trial_apps(fg_spec, Some(bg_spec), self.threads, attempt))
+    }
+
+    /// The keys of `trials`, or empty when any of them cannot be keyed.
+    fn trial_keys(&self, trials: Vec<Vec<AppSpec>>) -> Vec<RunKey> {
+        trials.iter().map(|apps| self.run_key(apps)).collect::<Option<_>>().unwrap_or_default()
+    }
+
+    /// The apps of every trial run: `fg` in the foreground with `threads`
+    /// threads, and for a pair `bg` looping in the background. Trial `t`
+    /// seeds the foreground with `base_seed + 1000·t`, bumped by retry
+    /// `attempt` (attempt 0 leaves it alone), and the background with that
+    /// seed `^ 0x5EED`. The runs and [`Study::solo_keys`] /
+    /// [`Study::pair_keys`] both build trials here, so the published keys
+    /// are the ones the runs journal.
+    fn trial_apps(
+        &self,
+        fg: &WorkloadSpec,
+        bg: Option<&WorkloadSpec>,
+        threads: usize,
+        attempt: u32,
+    ) -> Vec<Vec<AppSpec>> {
         let bump = u64::from(attempt).wrapping_mul(0x9E37_79B9);
         (0..self.trials)
             .map(|t| {
                 let seed = (self.base_seed + 1000 * u64::from(t)).wrapping_add(bump);
-                self.run_key(&[
-                    self.app_spec(fg_spec, Role::Foreground, FG_BASE, seed, self.threads),
-                    self.app_spec(bg_spec, Role::Background, BG_BASE, seed ^ 0x5EED, self.threads),
-                ])
+                let mut apps = vec![self.app_spec(fg, Role::Foreground, FG_BASE, seed, threads)];
+                if let Some(bg) = bg {
+                    apps.push(self.app_spec(bg, Role::Background, BG_BASE, seed ^ 0x5EED, threads));
+                }
+                apps
             })
-            .collect::<Option<Vec<_>>>()
-            .unwrap_or_default()
+            .collect()
     }
 
     /// Executes one run through the run table.
@@ -433,20 +449,16 @@ impl Study {
         }
     }
 
-    /// Runs `trials` seeds and returns the median-by-foreground-runtime
+    /// Runs every trial and returns the median-by-foreground-runtime
     /// outcome.
     ///
     /// The median is a real measured element: after sorting, index
     /// `(n - 1) / 2` — the exact middle for odd `n`, the lower middle for
     /// even `n`. (An earlier version took `n / 2`, which for even trial
     /// counts reported the *upper* middle, biasing even-N medians high.)
-    fn median_run(&self, build: impl Fn(u64) -> Vec<AppSpec>) -> Arc<RunOutcome> {
-        let mut outcomes: Vec<Arc<RunOutcome>> = (0..self.trials)
-            .map(|t| {
-                let seed = self.base_seed + 1000 * u64::from(t);
-                self.run_one(&build(seed))
-            })
-            .collect();
+    fn median_run(&self, trials: Vec<Vec<AppSpec>>) -> Arc<RunOutcome> {
+        let mut outcomes: Vec<Arc<RunOutcome>> =
+            trials.iter().map(|apps| self.run_one(apps)).collect();
         outcomes.sort_by_key(|o| o.apps[0].elapsed_cycles);
         outcomes.swap_remove((outcomes.len() - 1) / 2)
     }
@@ -459,9 +471,7 @@ impl Study {
     /// Runs `name` alone with an explicit thread count (cached).
     pub fn solo_with_threads(&self, name: &str, threads: usize) -> Arc<SoloResult> {
         let spec = self.spec(name);
-        let outcome = self.median_run(|seed| {
-            vec![self.app_spec(spec, Role::Foreground, FG_BASE, seed, threads)]
-        });
+        let outcome = self.median_run(self.trial_apps(spec, None, threads, 0));
         let app = &outcome.apps[0];
         Arc::new(SoloResult {
             name: name.to_string(),
@@ -517,15 +527,9 @@ impl Study {
             self.threads,
             self.cfg.cores
         );
-        let bump = u64::from(attempt).wrapping_mul(0x9E37_79B9);
         let solo = self.solo(fg);
-        let outcome = self.median_run(|seed| {
-            let seed = seed.wrapping_add(bump);
-            vec![
-                self.app_spec(fg_spec, Role::Foreground, FG_BASE, seed, self.threads),
-                self.app_spec(bg_spec, Role::Background, BG_BASE, seed ^ 0x5EED, self.threads),
-            ]
-        });
+        let outcome =
+            self.median_run(self.trial_apps(fg_spec, Some(bg_spec), self.threads, attempt));
         let fg_app = &outcome.apps[0];
         let bg_app = &outcome.apps[1];
         PairResult {

@@ -362,6 +362,29 @@ pub fn run_campaign(
             (s, Some(dir))
         }
     };
+    // Scratch space goes on every exit path, an aborted campaign's too.
+    let mut worker_dirs = Vec::new();
+    let persistent = scratch_store.is_none();
+    let outcome = campaign(study, spec, cfg, &on_cell, store, persistent, &mut worker_dirs);
+    for dir in worker_dirs.iter().chain(&scratch_store) {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    outcome
+}
+
+/// [`run_campaign`] once its arguments are checked and its canonical
+/// `store` is open; `persistent` when that store outlives the campaign.
+/// Local worker stores are added to `worker_dirs` for the caller to
+/// remove.
+fn campaign(
+    study: &Study,
+    spec: &CampaignSpec,
+    cfg: &FabricConfig,
+    on_cell: OnCell<'_>,
+    store: RunStore,
+    persistent: bool,
+    worker_dirs: &mut Vec<PathBuf>,
+) -> Result<FabricOutcome, String> {
     // A store-less study cannot journal its solos; run the campaign
     // through a store-backed twin so solo pre-seeding lands in `store`.
     let seeded_study;
@@ -375,7 +398,6 @@ pub fn run_campaign(
     // --- Phase 0: durable campaign metadata (crash recovery). Only a
     // store-backed campaign is resumable — a scratch store dies with the
     // process, so there is nothing to journal toward.
-    let persistent = scratch_store.is_none();
     let mut resumed: Option<ResumePrior> = None;
     if persistent {
         let dir = store.dir().to_path_buf();
@@ -465,10 +487,9 @@ pub fn run_campaign(
         wake: Condvar::new(),
         hold: TICK,
         epoch: Instant::now(),
-        on_cell: &on_cell,
+        on_cell,
         store: &store,
     };
-    let mut worker_dirs: Vec<PathBuf> = Vec::new();
     let mut respawns = 0;
     if !driver.lock().done() {
         // Rendered once: every connection is greeted with the same bytes.
@@ -480,18 +501,18 @@ pub fn run_campaign(
         };
         let mut frame = Vec::new();
         write_frame(&mut frame, &hello).map_err(|e| e.to_string())?;
-        respawns = serve(&driver, cfg, &frame, &mut worker_dirs)?;
+        respawns = serve(&driver, cfg, &frame, worker_dirs)?;
     }
     let pair_wall = pair_start.elapsed();
 
     // --- Phase 4: merge local worker journals (catches anything a killed
-    // worker computed but never reported) and clean up scratch space.
+    // worker computed but never reported).
     let machine = driver.machine.into_inner().unwrap_or_else(PoisonError::into_inner);
     let merge_failed = machine.store_failed();
     let mut ledger = *machine.ledger();
     let results = machine.results(|idx| format!("{}/{}", names[idx / n], names[idx % n]));
     ledger.respawns = respawns;
-    for dir in &worker_dirs {
+    for dir in worker_dirs.iter() {
         // A worker that never journaled anything merges as empty.
         let path = dir.join(cochar_store::journal::JOURNAL_FILE);
         match store.merge_journal(&path) {
@@ -501,7 +522,6 @@ pub fn run_campaign(
             }
             Err(e) => eprintln!("warning: merging {} failed: {e}", path.display()),
         }
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     let (heatmap, failures) = Heatmap::from_cells(spec.names.clone(), results);
@@ -514,9 +534,6 @@ pub fn run_campaign(
         if let Err(e) = recover::append_ledger(&dir, run, &ledger) {
             eprintln!("warning: {e}");
         }
-    }
-    if let Some(dir) = scratch_store {
-        let _ = std::fs::remove_dir_all(&dir);
     }
     Ok(FabricOutcome { heatmap, failures, ledger, pair_wall, solo_wall, store_degraded, resumed })
 }

@@ -38,13 +38,12 @@ pub mod codec;
 pub mod faults;
 pub mod json;
 pub mod journal;
-pub mod lock;
+mod lock;
 pub mod sidecar;
 pub mod store;
 
 pub use faults::{ChaosFile, Fault, FaultPlan};
 pub use journal::{read_records, AppendSink, ReplayReport};
-pub use lock::StoreLock;
 pub use store::{MergeReport, RunKey, RunStore, StoreStats, SCHEMA_VERSION};
 
 use std::fmt;
@@ -58,7 +57,8 @@ pub enum StoreError {
     Schema(String),
     /// A journal record failed to parse or verify.
     Corrupt(String),
-    /// Another live process holds the store's writer lock.
+    /// Another open store, in this process or another, holds the
+    /// directory's writer lock.
     Locked(String),
 }
 

@@ -1,164 +1,67 @@
-//! Advisory multi-writer protection for a store directory.
+//! Multi-writer protection for a store directory.
 //!
-//! A [`StoreLock`] is a `journal.lock` file created with `create_new`
-//! next to the journal, holding the owner's pid and (on Linux) the pid's
-//! process start time. Opening a store acquires it; a second opener —
-//! most dangerously a concurrent `store gc`, whose atomic rewrite would
-//! discard records another process is appending — gets
-//! [`StoreError::Locked`] with the owner's pid instead of silently
-//! corrupting the shared journal.
+//! A [`StoreLock`] is an exclusive kernel lock (`File::try_lock`, `flock`
+//! on Unix) on `journal.lock` next to the journal. Opening a store takes
+//! it; a second open, in this process or another — most dangerously a
+//! concurrent `store gc`, whose rewrite would drop another writer's
+//! appends — gets [`StoreError::Locked`] instead. The lock is advisory:
+//! nothing stops an external process from editing the journal.
 //!
-//! The lock is *advisory within this suite*: every writer goes through
-//! [`crate::RunStore`], which acquires it, but nothing stops an external
-//! process from editing the file. Crash recovery is automatic — the
-//! failure this matters most for is a SIGKILLed sweep coordinator, whose
-//! lock file survives it and must not block `--resume`. A lock is stale
-//! and broken on acquire when its owner is provably dead:
-//!
-//! * the pid is gone (`/proc/<pid>` on Linux), or
-//! * the pid exists but its start time (field 22 of `/proc/<pid>/stat`)
-//!   differs from the recorded one — the pid was recycled by an
-//!   unrelated process, so the original owner is dead.
-//!
-//! On non-Linux platforms liveness cannot be probed cheaply, so an
-//! existing lock is always honored — err on the side of refusing, never
-//! on the side of two writers.
+//! The kernel drops the lock when its holder exits, SIGKILL included, so a
+//! killed sweep leaves nothing stale for `--resume` to break. The file
+//! holds its last holder's pid, for error messages only, and is never
+//! removed: unlinking a locked file would let a waiting opener lock the
+//! orphaned inode while a third process locks a new one.
 
+use std::fs::{File, TryLockError};
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::StoreError;
 
 /// Lock file name inside a store directory.
-pub const LOCK_FILE: &str = "journal.lock";
+const LOCK_FILE: &str = "journal.lock";
 
-/// An acquired store lock; released (file removed) on drop.
+/// A held store lock; the kernel releases it when the file closes.
 #[derive(Debug)]
-pub struct StoreLock {
-    path: PathBuf,
+pub(crate) struct StoreLock {
+    _file: File,
 }
 
 impl StoreLock {
-    /// Acquires the lock in `dir`, breaking a stale one if its owner is
-    /// provably dead.
-    pub fn acquire(dir: &Path) -> Result<StoreLock, StoreError> {
+    /// Takes the lock in `dir`, failing at once if another open holds it.
+    pub(crate) fn acquire(dir: &Path) -> Result<StoreLock, StoreError> {
         let path = dir.join(LOCK_FILE);
-        // One break-and-retry round per distinct stale owner; bounded so
-        // a livelock against a crash-looping peer cannot spin forever.
-        for _ in 0..3 {
-            match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut f) => {
-                    // Losing the stamp write is harmless: an empty lock
-                    // file reads as unparseable, which is treated as
-                    // stale on the next acquire attempt after we drop it.
-                    let pid = std::process::id();
-                    match proc_starttime(pid) {
-                        Some(start) => {
-                            let _ = writeln!(f, "{pid} {start}");
-                        }
-                        None => {
-                            let _ = writeln!(f, "{pid}");
-                        }
-                    }
-                    return Ok(StoreLock { path });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    match read_owner(&path) {
-                        Some(owner) if owner_alive(&owner) => {
-                            return Err(StoreError::Locked(format!(
-                                "{} is held by pid {}",
-                                path.display(),
-                                owner.pid
-                            )));
-                        }
-                        Some(_) | None => {
-                            // Dead owner or garbage: break the lock. The
-                            // remove can race another breaker; both fall
-                            // through to a fresh create_new attempt.
-                            let _ = std::fs::remove_file(&path);
-                        }
-                    }
-                }
-                Err(e) => return Err(e.into()),
+        // std opens files O_CLOEXEC: spawned fabric workers never inherit it.
+        let mut file =
+            File::options().read(true).write(true).create(true).truncate(false).open(&path)?;
+        match file.try_lock() {
+            Ok(()) => {
+                // Diagnostic only. Cut the tail after writing: truncating to
+                // zero first makes ext4 flush the file on close.
+                let stamp = format!("{}\n", std::process::id());
+                let _ = file.write_all(stamp.as_bytes());
+                let _ = file.set_len(stamp.len() as u64);
+                Ok(StoreLock { _file: file })
             }
+            Err(TryLockError::WouldBlock) => {
+                let mut pid = String::new();
+                let _ = file.read_to_string(&mut pid);
+                let holder = match pid.trim() {
+                    "" => "another process".to_string(),
+                    pid => format!("pid {pid}"),
+                };
+                Err(StoreError::Locked(format!("{} is held by {holder}", path.display())))
+            }
+            Err(TryLockError::Error(e)) => Err(e.into()),
         }
-        Err(StoreError::Locked(format!(
-            "{} keeps reappearing while being broken (crash-looping writer?)",
-            path.display()
-        )))
     }
-
-    /// The lock file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for StoreLock {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// The recorded owner of a lock file: pid, plus the owning process's
-/// start time when it could be recorded (Linux).
-struct Owner {
-    pid: u32,
-    starttime: Option<u64>,
-}
-
-fn read_owner(path: &Path) -> Option<Owner> {
-    let mut text = String::new();
-    std::fs::File::open(path).ok()?.read_to_string(&mut text).ok()?;
-    let mut fields = text.split_whitespace();
-    let pid: u32 = fields.next()?.parse().ok()?;
-    let starttime = fields.next().and_then(|s| s.parse().ok());
-    Some(Owner { pid, starttime })
-}
-
-#[cfg(target_os = "linux")]
-fn owner_alive(owner: &Owner) -> bool {
-    match proc_starttime(owner.pid) {
-        None => false, // pid is gone
-        Some(live_start) => match owner.starttime {
-            // Same pid, different start time: the pid was recycled, the
-            // recorded owner is dead.
-            Some(recorded) => recorded == live_start,
-            // Legacy pid-only stamp: existence is the best we can do.
-            None => true,
-        },
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn owner_alive(_owner: &Owner) -> bool {
-    // No cheap liveness probe: treat every recorded owner as alive and
-    // refuse, which is the safe direction for an advisory lock.
-    true
-}
-
-/// The process start time of `pid` (clock ticks since boot): field 22 of
-/// `/proc/<pid>/stat`, which together with the pid uniquely identifies a
-/// process incarnation. `None` when the pid does not exist (or off
-/// Linux, where the stamp degrades to pid-only).
-#[cfg(target_os = "linux")]
-fn proc_starttime(pid: u32) -> Option<u64> {
-    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
-    // The comm field (2) is parenthesized and may itself contain spaces
-    // or parens; everything after the *last* ')' is space-separated,
-    // starting at field 3. Start time is field 22, so index 19 there.
-    let tail = &stat[stat.rfind(')')? + 1..];
-    tail.split_whitespace().nth(19)?.parse().ok()
-}
-
-#[cfg(not(target_os = "linux"))]
-fn proc_starttime(_pid: u32) -> Option<u64> {
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cochar-lock-{tag}-{}", std::process::id()));
@@ -167,64 +70,41 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn second_acquire_is_refused_and_release_frees() {
-        let dir = tmpdir("basic");
-        let lock = StoreLock::acquire(&dir).unwrap();
-        match StoreLock::acquire(&dir) {
-            Err(StoreError::Locked(msg)) => {
-                assert!(msg.contains(&std::process::id().to_string()), "{msg}");
-            }
+    fn refusal(dir: &Path) -> String {
+        match StoreLock::acquire(dir) {
+            Err(StoreError::Locked(msg)) => msg,
             other => panic!("expected Locked, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn second_open_is_refused_naming_the_holder_until_released() {
+        let dir = tmpdir("held");
+        let lock = StoreLock::acquire(&dir).unwrap();
+        let msg = refusal(&dir);
+        assert!(msg.ends_with(&format!("held by pid {}", std::process::id())), "{msg}");
+        // A holder whose pid never landed is still a holder.
+        std::fs::write(dir.join(LOCK_FILE), "").unwrap();
+        let msg = refusal(&dir);
+        assert!(msg.ends_with("held by another process"), "{msg}");
         drop(lock);
-        assert!(!dir.join(LOCK_FILE).exists());
         let _relock = StoreLock::acquire(&dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn stale_lock_from_dead_pid_is_broken() {
-        let dir = tmpdir("stale");
-        // Pick a pid that cannot be alive: pid_max on Linux is < 2^22 by
-        // default and never exceeds 2^31; u32::MAX is out of range.
-        std::fs::write(dir.join(LOCK_FILE), format!("{}\n", u32::MAX)).unwrap();
-        let _lock = StoreLock::acquire(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn recycled_pid_lock_is_broken() {
-        let dir = tmpdir("recycled");
-        // A live pid (our own) with an impossible start time models a
-        // recycled pid: the recorded owner must read as dead.
-        std::fs::write(
-            dir.join(LOCK_FILE),
-            format!("{} {}\n", std::process::id(), u64::MAX),
-        )
-        .unwrap();
-        let _lock = StoreLock::acquire(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn live_pid_with_matching_starttime_is_honored() {
-        let dir = tmpdir("live");
+    fn leftover_lock_file_without_a_holder_does_not_block() {
+        let dir = tmpdir("leftover");
         let pid = std::process::id();
-        let start = proc_starttime(pid).expect("own starttime readable");
-        std::fs::write(dir.join(LOCK_FILE), format!("{pid} {start}\n")).unwrap();
-        assert!(matches!(StoreLock::acquire(&dir), Err(StoreError::Locked(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn garbage_lock_is_broken() {
-        let dir = tmpdir("garbage");
-        std::fs::write(dir.join(LOCK_FILE), "not a pid\n").unwrap();
-        let _lock = StoreLock::acquire(&dir).unwrap();
+        for content in
+            [format!("{pid}\n"), format!("{pid} 18446744073709551615\n"), "garbage".into()]
+        {
+            std::fs::write(dir.join(LOCK_FILE), &content).unwrap();
+            let lock = StoreLock::acquire(&dir).unwrap_or_else(|e| panic!("{content:?}: {e}"));
+            let stamp = std::fs::read_to_string(dir.join(LOCK_FILE)).unwrap();
+            assert_eq!(stamp, format!("{pid}\n"), "{content:?} was not replaced");
+            drop(lock);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

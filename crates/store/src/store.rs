@@ -76,10 +76,6 @@ impl fmt::Display for RunKey {
 /// Counter snapshot for one store (cumulative since open).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// `get` calls that found a cached outcome.
-    pub hits: u64,
-    /// `get` calls that found nothing.
-    pub misses: u64,
     /// Outcomes appended this session.
     pub puts: u64,
     /// Records resident in the index right now.
@@ -98,7 +94,7 @@ pub struct MergeReport {
 struct Inner {
     index: HashMap<RunKey, Arc<RunOutcome>>,
     journal: Journal,
-    /// Held for the store's whole lifetime; released (file removed) when
+    /// Held for the store's whole lifetime; the kernel releases it when
     /// the last clone drops.
     _lock: crate::lock::StoreLock,
 }
@@ -112,8 +108,6 @@ pub struct RunStore {
     inner: Arc<Mutex<Inner>>,
     dir: PathBuf,
     replay: ReplayReport,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
     puts: Arc<AtomicU64>,
 }
 
@@ -159,8 +153,6 @@ impl RunStore {
             inner: Arc::new(Mutex::new(Inner { index, journal, _lock: lock })),
             dir,
             replay,
-            hits: Arc::new(AtomicU64::new(0)),
-            misses: Arc::new(AtomicU64::new(0)),
             puts: Arc::new(AtomicU64::new(0)),
         })
     }
@@ -197,23 +189,13 @@ impl RunStore {
         self.replay
     }
 
-    /// Looks a key up, counting a hit or miss.
+    /// Looks a key up.
     pub fn get(&self, key: RunKey) -> Option<Arc<RunOutcome>> {
-        let found = self.inner.lock().unwrap().index.get(&key).cloned();
-        match found {
-            Some(o) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(o)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.inner.lock().unwrap().index.get(&key).cloned()
     }
 
-    /// Checks presence without touching hit/miss counters (used by
-    /// resume-status reporting).
+    /// Checks presence without cloning the outcome (used by resume-status
+    /// reporting).
     pub fn contains(&self, key: RunKey) -> bool {
         self.inner.lock().unwrap().index.contains_key(&key)
     }
@@ -295,12 +277,7 @@ impl RunStore {
 
     /// Counter snapshot.
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            resident: self.len() as u64,
-        }
+        StoreStats { puts: self.puts.load(Ordering::Relaxed), resident: self.len() as u64 }
     }
 
     /// Re-reads the journal from disk and verifies every line, without
@@ -349,7 +326,7 @@ mod tests {
             store.put(RunKey(7), Arc::clone(&o)).unwrap();
             assert_eq!(store.get(RunKey(7)).unwrap().as_ref(), o.as_ref());
             let s = store.stats();
-            assert_eq!((s.hits, s.misses, s.puts, s.resident), (1, 1, 1, 1));
+            assert_eq!((s.puts, s.resident), (1, 1));
         }
         let store = RunStore::open(&dir).unwrap();
         assert_eq!(store.get(RunKey(7)).unwrap().as_ref(), o.as_ref());
