@@ -7,6 +7,7 @@ pub mod fabric;
 pub mod heatmap;
 pub mod list;
 pub mod pair;
+pub mod paper;
 pub mod predict;
 pub mod prefetch;
 pub mod scalability;

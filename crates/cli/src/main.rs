@@ -13,6 +13,7 @@
 //! cochar throttle G-CC fotonik3d --pads 0,20,60,120
 //! cochar timeline G-CC stream
 //! cochar cluster compare --nodes 1000 --jobs 10000 --seed 7 --json report.json
+//! cochar paper fig5 --work 0.1 --store runs
 //! ```
 //!
 //! Global flags: `--machine bench|scaled|paper`, `--work <f64>`,
@@ -82,6 +83,10 @@ commands:
                                 --compose max|product --defrag-period T
                                 --trace FILE --trace-out FILE --train-apps K
                                 --json FILE --csv FILE)
+  paper <id>|all [apps...]     regenerate the paper's tables and figures; ids:
+                               table1 fig2 table2 fig3 fig4 fig5 table3 fig6
+                               fig7 fig8 table4 fig9-10 ablations predict-sched
+                               (apps: roster of fig5, fig6, predict-sched)
   store ls|gc|verify           inspect or compact a run store (needs --store)
   bench                        engine throughput harness (solo + pair sweep)
                                [--json FILE (default BENCH_engine.json)]
@@ -117,7 +122,7 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let opts = Opts::parse(args)?;
-    if opts.command.is_empty() || opts.command == "help" {
+    if opts.command.is_empty() || opts.command == "help" || opts.switch("help") {
         println!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
     }
@@ -161,6 +166,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "timeline" => commands::timeline::run(&study, &opts),
         "predict" => commands::predict::run(&study, &opts),
         "cluster" => commands::cluster::run(&study, &opts),
+        "paper" => commands::paper::run(&study, &opts),
         other => Err(format!("unknown command {other:?}")),
     };
     if result.is_ok() {

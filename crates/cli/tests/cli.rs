@@ -279,3 +279,44 @@ fn bad_flag_value_fails() {
     let out = cochar(&["list", "--machine", "quantum"]);
     assert!(!out.status.success());
 }
+
+#[test]
+fn help_switch_prints_usage_and_runs_nothing() {
+    // Without the switch, `bench` runs its whole 26-cell measurement.
+    let out = cochar(&["bench", "--help"]);
+    assert!(out.status.success());
+    let s = String::from_utf8_lossy(&out.stdout);
+    assert!(s.contains("commands:"), "{s}");
+    assert!(!s.contains("cells/s"), "bench ran:\n{s}");
+}
+
+#[test]
+fn paper_rejects_unknown_ids_and_fixed_id_rosters() {
+    let out = cochar(&["paper", "fig11"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("table1 fig2 table2") && err.contains("predict-sched"), "{err}");
+
+    let out = cochar(&["paper", "table1", "G-CC"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("takes no applications"), "{err}");
+}
+
+#[test]
+fn paper_table1_matches_the_recorded_table() {
+    assert_eq!(stdout(&["paper", "table1"]), include_str!("paper_table1.txt"));
+}
+
+#[test]
+fn paper_second_pass_is_fully_cached() {
+    let dir = std::env::temp_dir().join(format!("cochar_cli_test_paper_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let args = ["paper", "fig9-10", "--work", "0.05", "--store", dir.to_str().unwrap()];
+    let first = stdout(&args);
+    assert!(first.contains("gather(+mirror) share"), "{first}");
+    assert!(!first.contains("store: 0 simulated"), "first pass did no work:\n{first}");
+    let second = stdout(&args);
+    assert!(second.contains("store: 0 simulated"), "second pass simulated:\n{second}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -147,6 +147,14 @@ impl Study {
         }
     }
 
+    /// Like [`Study::derive_with_msr`], with a different machine
+    /// configuration (the ablation studies). Run keys fingerprint the
+    /// whole configuration, so the shared run table never aliases runs
+    /// across machines.
+    pub fn derive_with_config(&self, cfg: MachineConfig) -> Study {
+        Study { cfg, ..self.derive_with_msr(self.msr) }
+    }
+
     /// Sets the per-application thread count (paper default: 4).
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0);

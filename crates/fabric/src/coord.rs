@@ -60,6 +60,7 @@
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -552,13 +553,16 @@ fn serve(
         let _ = tx.send(addr.clone());
     }
 
+    // Set when the campaign ends without `done`, so the accept loop
+    // stops on the teardown poke all the same.
+    let stop = AtomicBool::new(false);
     std::thread::scope(|scope| -> Result<u64, String> {
         // Accept loop: one thread per connection, all inside this scope
         // so they are joined before serve() returns.
         scope.spawn(|| {
             for conn in 1.. {
                 let Ok((stream, _)) = listener.accept() else { break };
-                if driver.lock().done() {
+                if stop.load(Ordering::Relaxed) || driver.lock().done() {
                     // The teardown poke, or a worker arriving too late.
                     break;
                 }
@@ -592,49 +596,68 @@ fn serve(
             });
             Ok((child, dir))
         };
+        // Every way out of the campaign below breaks to the one teardown
+        // after it: the campaign done, a stall abort, or a worker that
+        // cannot be spawned.
         let mut children = Vec::new();
-        for k in 0..cfg.workers {
-            let (child, dir) = spawn_worker(k)?;
-            children.push(child);
-            worker_dirs.push(dir);
-        }
-
-        // Tick until the campaign is done, respawning dead local workers
-        // (budget: one replacement per original slot).
         let mut respawns = 0;
-        let abort = loop {
-            // Wakes for held claims do not tick: the wait resumes until
-            // the tick is due or the campaign is done.
-            let (machine, _) = driver
-                .wake
-                .wait_timeout_while(driver.lock(), TICK, |machine| !machine.done())
-                .unwrap_or_else(PoisonError::into_inner);
-            if machine.done() {
-                break None;
+        let ended: Result<Option<String>, String> = 'campaign: {
+            for k in 0..cfg.workers {
+                match spawn_worker(k) {
+                    Ok((child, dir)) => {
+                        children.push(child);
+                        worker_dirs.push(dir);
+                    }
+                    Err(e) => break 'campaign Err(e),
+                }
             }
-            drop(machine);
-            // Progress is ticked inside `step`, so an abort is all a tick returns.
-            if let Some(Action::Abort(msg)) = driver.step(Event::Tick).pop() {
-                break Some(msg);
-            }
-            // Exited children stay in `children`, so any excess of deaths
-            // over respawns means a slot is empty. Top it up one child per
-            // tick while budget remains.
-            let dead = children.iter_mut().filter_map(|c| c.try_wait().ok().flatten()).count();
-            if dead as u64 > respawns && respawns < cfg.workers as u64 && !driver.lock().done() {
-                let (child, dir) = spawn_worker(children.len())?;
-                children.push(child);
-                worker_dirs.push(dir);
-                respawns += 1;
+
+            // Tick until the campaign is done, respawning dead local
+            // workers (budget: one replacement per original slot).
+            loop {
+                // Wakes for held claims do not tick: the wait resumes
+                // until the tick is due or the campaign is done.
+                let (machine, _) = driver
+                    .wake
+                    .wait_timeout_while(driver.lock(), TICK, |machine| !machine.done())
+                    .unwrap_or_else(PoisonError::into_inner);
+                if machine.done() {
+                    break 'campaign Ok(None);
+                }
+                drop(machine);
+                // Progress is ticked inside `step`, so an abort is all a
+                // tick returns.
+                if let Some(Action::Abort(msg)) = driver.step(Event::Tick).pop() {
+                    break 'campaign Ok(Some(msg));
+                }
+                // Exited children stay in `children`, so any excess of
+                // deaths over respawns means a slot is empty. Top it up
+                // one child per tick while budget remains.
+                let dead = children.iter_mut().filter_map(|c| c.try_wait().ok().flatten()).count();
+                if dead as u64 > respawns && respawns < cfg.workers as u64 && !driver.lock().done()
+                {
+                    match spawn_worker(children.len()) {
+                        Ok((child, dir)) => {
+                            children.push(child);
+                            worker_dirs.push(dir);
+                            respawns += 1;
+                        }
+                        Err(e) => break 'campaign Err(e),
+                    }
+                }
             }
         };
 
-        // Poke the accept loop so it observes `done`.
+        // Poke the accept loop so it observes `done` or the stop.
+        stop.store(true, Ordering::Relaxed);
         let _ = TcpStream::connect(&addr);
 
         // Give local workers a moment to claim, hear `done`, and exit;
         // then kill whatever is left (hung chaos workers, stuck leases).
-        let grace = Instant::now() + Duration::from_secs(5);
+        // After a failed spawn nothing will finish the campaign, so the
+        // grace is zero.
+        let grace =
+            Instant::now() + if ended.is_ok() { Duration::from_secs(5) } else { Duration::ZERO };
         let all_exited = children
             .iter()
             .all(|_| exits.recv_timeout(grace.saturating_duration_since(Instant::now())).is_ok());
@@ -644,7 +667,7 @@ fn serve(
             }
             let _ = child.wait();
         }
-        match abort {
+        match ended? {
             Some(msg) => Err(msg),
             None => Ok(respawns),
         }

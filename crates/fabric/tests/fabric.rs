@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use cochar_colocation::{Heatmap, SweepPolicy};
 use cochar_fabric::{
-    run_campaign, run_worker, CampaignSpec, FabricConfig, WirePlan, WorkerChaos, WorkerConfig,
-    WorkerSummary,
+    run_campaign, run_worker, CampaignSpec, FabricConfig, WirePlan, WorkerChaos, WorkerCmd,
+    WorkerConfig, WorkerSummary,
 };
 
 const NAMES: [&str; 3] = ["blackscholes", "swaptions", "stream"];
@@ -498,4 +498,47 @@ fn out_of_range_result_is_a_wire_fault() {
     assert!(outcome.failures.is_empty(), "failures: {:?}", outcome.failures);
     assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec));
     assert!(outcome.ledger.wire_faults >= 1, "ledger: {:?}", outcome.ledger);
+}
+
+/// Runs a two-app campaign with one local worker launched by `exe` on a
+/// thread, and returns its result; a campaign that has not returned
+/// within a minute fails the test instead of hanging it.
+fn campaign_with_worker_exe(exe: std::path::PathBuf) -> Result<(), String> {
+    let spec =
+        CampaignSpec { names: NAMES[..2].iter().map(|s| s.to_string()).collect(), ..tiny_spec() };
+    let cfg = FabricConfig {
+        workers: 1,
+        worker_cmd: Some(WorkerCmd { exe, args: Vec::new() }),
+        ..FabricConfig::default()
+    };
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let study = spec.build_study(None).expect("spec builds");
+        let _ = tx.send(run_campaign(&study, &spec, &cfg, |_, _| {}).map(|_| ()));
+    });
+    rx.recv_timeout(Duration::from_secs(60)).expect("the campaign returns instead of hanging")
+}
+
+#[test]
+fn unspawnable_worker_fails_the_campaign() {
+    let err = campaign_with_worker_exe("/nonexistent/cochar".into()).unwrap_err();
+    assert!(err.contains("spawning worker /nonexistent/cochar"), "{err}");
+}
+
+#[test]
+fn unspawnable_respawn_fails_the_campaign() {
+    // The worker deletes itself and exits, so its first spawn succeeds
+    // and the respawn that replaces it cannot start.
+    use std::os::unix::fs::PermissionsExt;
+    let dir =
+        std::env::temp_dir().join(format!("cochar-fabric-test-respawn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let exe = dir.join("worker.sh");
+    std::fs::write(&exe, "#!/bin/sh\nrm -f \"$0\"\n").unwrap();
+    std::fs::set_permissions(&exe, std::fs::Permissions::from_mode(0o755)).unwrap();
+    let err = campaign_with_worker_exe(exe.clone()).unwrap_err();
+    assert!(err.contains("spawning worker"), "{err}");
+    assert!(!exe.exists(), "the first worker ran, so the error is the respawn's");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
